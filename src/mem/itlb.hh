@@ -41,9 +41,11 @@ class ITlb
     std::uint64_t now_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
-    /** One-entry filter: consecutive fetches hit the same page. */
+    /** One-entry filter: consecutive fetches hit the same page. An
+     *  index, not a pointer, so copies and moves stay self-contained. */
+    static constexpr std::uint32_t kNoEntry = ~0U;
     std::uint64_t last_page_ = ~0ULL;
-    Entry* last_entry_ = nullptr;
+    std::uint32_t last_entry_ = kNoEntry;
 };
 
 } // namespace spikesim::mem

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "support/panic.hh"
 #include "support/rng.hh"
+#include "support/threadpool.hh"
 
 namespace spikesim::serve {
 
@@ -68,6 +70,49 @@ burstySession(std::uint32_t session, const ArrivalConfig& cfg,
     }
 }
 
+/** The stream's total order: by time, ties broken by session id. */
+bool
+arrivalLess(const Arrival& a, const Arrival& b)
+{
+    if (a.time != b.time)
+        return a.time < b.time;
+    return a.session < b.session;
+}
+
+/** K-way merge of sorted ranges into one sorted stream; frees each
+ *  range as soon as it is drained. */
+std::vector<Arrival>
+mergeRanges(std::vector<std::vector<Arrival>>& ranges)
+{
+    std::size_t total = 0;
+    for (const std::vector<Arrival>& r : ranges)
+        total += r.size();
+    std::vector<Arrival> out;
+    out.reserve(total);
+    std::vector<std::size_t> pos(ranges.size(), 0);
+    // Min-heap of range indices keyed by each range's head.
+    const auto later = [&](std::size_t a, std::size_t b) {
+        return arrivalLess(ranges[b][pos[b]], ranges[a][pos[a]]);
+    };
+    std::vector<std::size_t> heap;
+    for (std::size_t r = 0; r < ranges.size(); ++r)
+        if (!ranges[r].empty())
+            heap.push_back(r);
+    std::make_heap(heap.begin(), heap.end(), later);
+    while (!heap.empty()) {
+        std::pop_heap(heap.begin(), heap.end(), later);
+        const std::size_t r = heap.back();
+        out.push_back(ranges[r][pos[r]]);
+        if (++pos[r] < ranges[r].size()) {
+            std::push_heap(heap.begin(), heap.end(), later);
+        } else {
+            heap.pop_back();
+            std::vector<Arrival>().swap(ranges[r]);
+        }
+    }
+    return out;
+}
+
 } // namespace
 
 std::string
@@ -87,31 +132,58 @@ ArrivalConfig::check() const
     return "";
 }
 
+namespace detail {
+
 std::vector<Arrival>
-generateArrivals(const ArrivalConfig& cfg)
+generateArrivals(const ArrivalConfig& cfg, int workers)
 {
     SPIKESIM_ASSERT(cfg.check().empty(),
                     "bad arrival config: " << cfg.check());
     const double mean_gap =
         static_cast<double>(cfg.sessions) / cfg.rate;
-    std::vector<Arrival> out;
-    out.reserve(static_cast<std::size_t>(
-        cfg.rate * static_cast<double>(cfg.horizon_cycles) * 1.1));
-    for (std::uint32_t s = 0; s < cfg.sessions; ++s) {
-        if (cfg.kind == ArrivalKind::Poisson)
-            poissonSession(s, cfg, mean_gap, out);
-        else
-            burstySession(s, cfg, mean_gap, out);
-    }
-    // Stable by construction within a session; the explicit (time,
-    // session) order makes the merged stream deterministic.
-    std::stable_sort(out.begin(), out.end(),
-                     [](const Arrival& a, const Arrival& b) {
-                         if (a.time != b.time)
-                             return a.time < b.time;
-                         return a.session < b.session;
-                     });
-    return out;
+    const double expected =
+        cfg.rate * static_cast<double>(cfg.horizon_cycles);
+    if (workers <= 0)
+        workers = support::ThreadPool::defaultThreads();
+    const std::size_t nranges =
+        std::min<std::size_t>(cfg.sessions,
+                              static_cast<std::size_t>(workers));
+
+    // One contiguous session range per worker, each sorted on its own.
+    std::vector<std::vector<Arrival>> ranges(nranges);
+    support::ThreadPool::forEachShard(
+        nranges,
+        [&](std::size_t r) {
+            const auto s0 = static_cast<std::uint32_t>(
+                std::uint64_t{cfg.sessions} * r / nranges);
+            const auto s1 = static_cast<std::uint32_t>(
+                std::uint64_t{cfg.sessions} * (r + 1) / nranges);
+            // Filled locally: neighbouring ranges' vector headers share
+            // cache lines, and every push_back writes the header.
+            std::vector<Arrival> out;
+            out.reserve(static_cast<std::size_t>(
+                expected * 1.1 * (s1 - s0) / cfg.sessions));
+            for (std::uint32_t s = s0; s < s1; ++s) {
+                if (cfg.kind == ArrivalKind::Poisson)
+                    poissonSession(s, cfg, mean_gap, out);
+                else
+                    burstySession(s, cfg, mean_gap, out);
+            }
+            // Arrivals equal in (time, session) are equal bytes, so
+            // an unstable sort yields the one sorted order.
+            std::sort(out.begin(), out.end(), arrivalLess);
+            ranges[r] = std::move(out);
+        },
+        workers);
+    return mergeRanges(ranges);
+}
+
+} // namespace detail
+
+std::vector<Arrival>
+generateArrivals(const ArrivalConfig& cfg)
+{
+    return detail::generateArrivals(cfg, 0);
 }
 
 } // namespace spikesim::serve

@@ -29,6 +29,16 @@
  * (sim/system.hh), so the points where TraceEvent::process changes are
  * exactly the transaction boundaries. No extra trace format is needed.
  *
+ * The walk runs sharded by simulated CPU on host threads. Every piece
+ * of walk state (L1 I/D per tenant, L2, iTLB, fetch-run tracking) is
+ * private to one CPU and there is no coherence pass, and every
+ * segment runs on a single CPU (a process is pinned to CPU process %
+ * num_cpus; a segment that changes CPU is rejected). So each CPU shard
+ * replays its own segments in global (segment, tenant) order, the
+ * state of every simulated structure evolves exactly as in one
+ * global-order walk, and the output is byte-identical at any host
+ * thread count.
+ *
  * Multi-tenant mode models N engine instances on the same machine:
  * each tenant has private L1 I/D caches, but all tenants on a CPU
  * share its L2 and iTLB (the structures the fig12/13 interference
@@ -68,17 +78,37 @@ struct ServiceStats
     std::uint64_t fetch_breaks = 0;
 };
 
+class ServiceModel;
+
+namespace detail {
+
+/**
+ * ServiceModel built on at most `workers` host threads (0 =
+ * support::ThreadPool::defaultThreads()). The result does not depend
+ * on the width; tests use this to prove it.
+ */
+ServiceModel serviceModel(const trace::TraceBuffer& trace,
+                          const core::Layout& app,
+                          const core::Layout* kernel,
+                          const ServiceModelConfig& config, int workers);
+
+} // namespace detail
+
 /** Derives per-transaction service times for one (trace, layout) pair. */
 class ServiceModel
 {
   public:
     /**
-     * Replays the whole trace immediately. @param kernel may be null
-     * only if the trace contains no kernel events.
+     * Replays the whole trace immediately, one shard per simulated CPU
+     * on a call-local pool of min(CPUs, host CPUs) threads. @param
+     * kernel may be null only if the trace contains no kernel events.
      */
     ServiceModel(const trace::TraceBuffer& trace,
                  const core::Layout& app, const core::Layout* kernel,
-                 const ServiceModelConfig& config);
+                 const ServiceModelConfig& config)
+        : ServiceModel(trace, app, kernel, config, 0)
+    {
+    }
 
     /**
      * Service time of every request, in cycles, in execution order
@@ -97,12 +127,23 @@ class ServiceModel
      * Transaction segments of a trace as [begin, end) event-index
      * ranges, split where TraceEvent::process changes. A trace with a
      * single process yields one segment (and the serving model
-     * degenerates to one request — configure more processes).
+     * degenerates to one request — configure more processes). Panics
+     * if a segment's events change CPU.
      */
     static std::vector<std::pair<std::size_t, std::size_t>>
     segments(const trace::TraceBuffer& trace);
 
   private:
+    friend ServiceModel detail::serviceModel(const trace::TraceBuffer&,
+                                             const core::Layout&,
+                                             const core::Layout*,
+                                             const ServiceModelConfig&,
+                                             int);
+
+    ServiceModel(const trace::TraceBuffer& trace, const core::Layout& app,
+                 const core::Layout* kernel,
+                 const ServiceModelConfig& config, int workers);
+
     std::vector<std::uint64_t> cycles_;
     ServiceStats stats_;
 };

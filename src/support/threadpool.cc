@@ -1,5 +1,8 @@
 #include "support/threadpool.hh"
 
+#include <sched.h>
+
+#include <algorithm>
 #include <chrono>
 
 #include "obs/registry.hh"
@@ -11,8 +14,32 @@ namespace spikesim::support {
 int
 ThreadPool::defaultThreads()
 {
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : static_cast<int>(hw);
+    const int hw = static_cast<int>(std::thread::hardware_concurrency());
+    // The affinity mask reflects taskset and cgroup cpusets, which
+    // hardware_concurrency() ignores.
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    int n = sched_getaffinity(0, sizeof(set), &set) == 0 ? CPU_COUNT(&set)
+                                                         : hw;
+    if (hw > 0)
+        n = std::min(n, hw);
+    return std::max(n, 1);
+}
+
+void
+ThreadPool::forEachShard(std::size_t shards,
+                         const std::function<void(std::size_t)>& fn,
+                         int max_workers)
+{
+    if (shards == 0)
+        return;
+    if (max_workers <= 0)
+        max_workers = defaultThreads();
+    ThreadPool pool(static_cast<int>(
+        std::min(shards, static_cast<std::size_t>(max_workers))));
+    for (std::size_t s = 0; s < shards; ++s)
+        pool.submit([&fn, s] { fn(s); });
+    pool.wait();
 }
 
 ThreadPool::ThreadPool(int num_threads)

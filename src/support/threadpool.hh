@@ -26,8 +26,7 @@ class ThreadPool
 {
   public:
     /**
-     * @param num_threads worker count; 0 picks the hardware
-     *        concurrency (at least 1).
+     * @param num_threads worker count; 0 picks defaultThreads().
      */
     explicit ThreadPool(int num_threads = 0);
 
@@ -45,8 +44,21 @@ class ThreadPool
     /** Block until every submitted task has finished executing. */
     void wait();
 
-    /** Hardware concurrency, clamped to at least 1. */
+    /**
+     * CPUs this process may run on (its sched_getaffinity mask, so
+     * taskset and cgroup cpusets count), clamped to
+     * [1, hardware concurrency].
+     */
     static int defaultThreads();
+
+    /**
+     * Run fn(0) .. fn(shards - 1) on a call-local pool of
+     * min(shards, max_workers) workers and return when all are done.
+     * @param max_workers worker cap; 0 picks defaultThreads().
+     */
+    static void forEachShard(std::size_t shards,
+                             const std::function<void(std::size_t)>& fn,
+                             int max_workers = 0);
 
     /**
      * Point-in-time copy of this pool's execution stats. The counts

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "mem/itlb.hh"
 
 namespace spikesim::mem {
@@ -67,6 +70,63 @@ TEST(ITlb, ResetClears)
     tlb.reset();
     EXPECT_EQ(tlb.hits() + tlb.misses(), 0u);
     EXPECT_FALSE(tlb.access(0));
+}
+
+/** Hit/miss sequence of a list of page numbers. */
+std::vector<bool>
+replay(ITlb& tlb, const std::vector<std::uint64_t>& pages)
+{
+    std::vector<bool> hits;
+    hits.reserve(pages.size());
+    for (std::uint64_t p : pages)
+        hits.push_back(tlb.access(p * kPage));
+    return hits;
+}
+
+TEST(ITlb, CopiesAndMovesOfAWarmedTlbAreIndependent)
+{
+    // Warm 2 entries with pages 0 then 1: the one-entry filter now
+    // holds page 1.
+    const std::vector<std::uint64_t> warm = {0, 1};
+    // A long run inside page 1 (the filter's fast path).
+    const std::vector<std::uint64_t> run(100, 1);
+    // LRU probe: page 1 is older than page 0 here, so page 2 must
+    // evict page 1 and keep page 0.
+    const std::vector<std::uint64_t> probe = {0, 2, 0, 1};
+    const std::vector<bool> probe_hits = {true, false, true, false};
+
+    ITlb source(2);
+    replay(source, warm);
+    ITlb copy = source;
+    // The copy's fast path must stamp the copy's entry, not the
+    // source's: the source must still see page 1 as least recent.
+    EXPECT_EQ(replay(copy, run), std::vector<bool>(run.size(), true));
+    EXPECT_EQ(replay(source, probe), probe_hits);
+
+    // The copy itself tracks an untouched twin.
+    ITlb twin(2);
+    replay(twin, warm);
+    replay(twin, run);
+    EXPECT_EQ(replay(copy, probe), replay(twin, probe));
+    EXPECT_EQ(copy.hits(), twin.hits());
+    EXPECT_EQ(copy.misses(), twin.misses());
+
+    // A moved-to TLB and a copy that outlives its source behave like
+    // a freshly warmed one.
+    ITlb moved_src(2);
+    replay(moved_src, warm);
+    ITlb moved = std::move(moved_src);
+    replay(moved, run);
+    EXPECT_EQ(replay(moved, probe), probe_hits);
+
+    ITlb survivor(1);
+    {
+        ITlb doomed(2);
+        replay(doomed, warm);
+        survivor = doomed;
+    }
+    replay(survivor, run);
+    EXPECT_EQ(replay(survivor, probe), probe_hits);
 }
 
 } // namespace

@@ -1,14 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <numeric>
 
 #include "core/pipeline.hh"
+#include "program/builder.hh"
 #include "serve/arrival.hh"
 #include "serve/queueing.hh"
 #include "serve/service.hh"
 #include "sim/replay.hh"
 #include "sim/system.hh"
 #include "sim/timing.hh"
+#include "support/checksum.hh"
 #include "support/threadpool.hh"
 
 // The open-loop serving subsystem: arrival generation, the bounded
@@ -75,6 +78,58 @@ TEST(Arrival, BurstyMatchesLongRunRate)
                          static_cast<double>(poisson.size());
     EXPECT_GT(ratio, 0.85);
     EXPECT_LT(ratio, 1.15);
+}
+
+std::uint64_t
+digestArrivals(const std::vector<serve::Arrival>& a)
+{
+    support::Fnv1a64 h;
+    h.update64(a.size());
+    for (const serve::Arrival& x : a) {
+        h.update64(x.time);
+        h.update64(x.session);
+    }
+    return h.digest();
+}
+
+// Digests of the merged stream recorded from the single-threaded
+// generator (one session after another, then one whole-stream stable
+// sort). The sharded generator must reproduce them at every width,
+// including widths above the session count.
+TEST(Arrival, ShardedStreamMatchesRecordedDigests)
+{
+    struct Case
+    {
+        serve::ArrivalKind kind;
+        std::uint32_t sessions;
+        std::uint64_t digest;
+    };
+    const Case cases[] = {
+        {serve::ArrivalKind::Poisson, 1, 0xeadd6862db1ac841ULL},
+        {serve::ArrivalKind::Poisson, 3, 0xa121292e0fbcae1cULL},
+        {serve::ArrivalKind::Poisson, 2000, 0xbcfc1888b61f31afULL},
+        {serve::ArrivalKind::Bursty, 1, 0xf11f1a56e2733e48ULL},
+        {serve::ArrivalKind::Bursty, 3, 0x4a1a796e182053c4ULL},
+        {serve::ArrivalKind::Bursty, 2000, 0x396c48f27420b180ULL},
+    };
+    for (const Case& k : cases) {
+        serve::ArrivalConfig c;
+        c.kind = k.kind;
+        c.sessions = k.sessions;
+        c.rate = 1e-2; // ~20000 arrivals over the horizon
+        c.horizon_cycles = 2'000'000;
+        c.mean_on_cycles = 100'000.0;
+        c.seed = 7;
+        for (int workers : {1, 2, 3, 8}) {
+            const std::vector<serve::Arrival> a =
+                serve::detail::generateArrivals(c, workers);
+            EXPECT_EQ(digestArrivals(a), k.digest)
+                << "kind=" << static_cast<int>(k.kind)
+                << " sessions=" << k.sessions << " workers=" << workers
+                << " size=" << a.size() << std::hex
+                << " digest=0x" << digestArrivals(a);
+        }
+    }
 }
 
 TEST(Arrival, ConfigCheckCatchesNonsense)
@@ -330,6 +385,39 @@ TEST(ServiceModel, SegmentsSplitAtProcessChanges)
     EXPECT_EQ(segs[2], (std::pair<std::size_t, std::size_t>{3, 4}));
 }
 
+TEST(ServiceModelDeathTest, RejectsSegmentsThatSpanCpus)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    program::Program prog("p");
+    program::ProcedureBuilder b("f");
+    b.addBlock(2, program::Terminator::Return);
+    prog.addProcedure(b.build());
+    const core::Layout app = core::baselineLayout(prog, 0x1000);
+
+    // Process 1 starts on CPU 1 and moves to CPU 0 mid-segment; traces
+    // captured by sim::System never do this (a process is pinned to
+    // CPU process % num_cpus).
+    trace::TraceBuffer buf;
+    trace::ExecContext ctx;
+    buf.onBlock(ctx, trace::ImageId::App, 0);
+    ctx.process = 1;
+    ctx.cpu = 1;
+    buf.onBlock(ctx, trace::ImageId::App, 0);
+    trace::TraceBuffer pinned = buf;
+    ctx.cpu = 0;
+    buf.onBlock(ctx, trace::ImageId::App, 0);
+
+    const serve::ServiceModelConfig smc;
+    EXPECT_DEATH(
+        { serve::ServiceModel m(buf, app, nullptr, smc); },
+        "segment spans CPUs: process 1 moves from CPU 1 to CPU 0");
+    EXPECT_DEATH({ serve::ServiceModel::segments(buf); },
+                 "segment spans CPUs");
+    // The same trace without the move is accepted.
+    const serve::ServiceModel ok(pinned, app, nullptr, smc);
+    EXPECT_EQ(ok.stats().requests, 2u);
+}
+
 TEST(ServiceModel, SoloMatchesReplayerHierarchy)
 {
     sim::System sys(smallSystem());
@@ -403,6 +491,67 @@ TEST(ServiceModel, TenantsShareL2AndInflateService)
     EXPECT_GE(two.stats().total_cycles, 2 * one.stats().total_cycles);
     EXPECT_GE(two.stats().mem.itlb_misses,
               2 * one.stats().mem.itlb_misses);
+}
+
+std::uint64_t
+digestService(const serve::ServiceModel& m)
+{
+    support::Fnv1a64 h;
+    for (std::uint64_t v : m.requestCycles())
+        h.update64(v);
+    const serve::ServiceStats& s = m.stats();
+    for (std::uint64_t v :
+         {s.requests, s.total_cycles, s.min_cycles, s.max_cycles,
+          std::bit_cast<std::uint64_t>(s.mean_cycles), s.p50_cycles,
+          s.p99_cycles, s.mem.l1i.accesses, s.mem.l1i.misses,
+          s.mem.l1d.accesses, s.mem.l1d.misses, s.mem.l2i.accesses,
+          s.mem.l2i.misses, s.mem.l2d.accesses, s.mem.l2d.misses,
+          s.mem.itlb_misses, s.mem.comm_misses, s.instrs,
+          s.fetch_breaks})
+        h.update64(v);
+    return h.digest();
+}
+
+// Digests of requestCycles() + ServiceStats recorded from the
+// single-threaded walk (one pass over the trace in global order). The
+// per-CPU sharded walk must reproduce them at every width: 4 simulated
+// CPUs on 1, 2, 3 (uneven) and 8 (more workers than CPUs) workers.
+TEST(ServiceModel, ShardedWalkMatchesRecordedDigests)
+{
+    sim::SystemConfig sc = smallSystem();
+    sc.num_cpus = 4;
+    sim::System sys(sc);
+    sys.setup();
+    sys.warmup(10);
+    trace::TraceBuffer buf;
+    sys.run(40, buf);
+    ASSERT_EQ(buf.numCpus(), 4);
+
+    core::Layout app = core::baselineLayout(
+        sys.appProg(), sys.config().app_text_base);
+    core::Layout kern = core::baselineLayout(
+        sys.kernelProg(), sys.config().kernel_text_base);
+
+    struct Case
+    {
+        int tenants;
+        std::uint64_t digest;
+    };
+    const Case cases[] = {{1, 0xfa4d1b1a85f24dceULL},
+                          {2, 0x895bbaf911274b47ULL},
+                          {3, 0xbabf92139eaeb6bfULL}};
+    for (const Case& k : cases) {
+        serve::ServiceModelConfig smc;
+        smc.tenants = k.tenants;
+        for (int workers : {1, 2, 3, 8}) {
+            const serve::ServiceModel m = serve::detail::serviceModel(
+                buf, app, &kern, smc, workers);
+            EXPECT_EQ(digestService(m), k.digest)
+                << "tenants=" << k.tenants << " workers=" << workers
+                << " requests=" << m.stats().requests << std::hex
+                << " digest=0x" << digestService(m);
+        }
+    }
 }
 
 } // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -73,8 +75,44 @@ TEST(ThreadPool, DestructorDrainsOutstandingTasks)
 TEST(ThreadPool, DefaultsToHardwareConcurrency)
 {
     EXPECT_GE(ThreadPool::defaultThreads(), 1);
+    const unsigned hw = std::thread::hardware_concurrency();
+    if (hw > 0) {
+        EXPECT_LE(ThreadPool::defaultThreads(), static_cast<int>(hw));
+    }
     ThreadPool pool; // num_threads = 0 picks the default
     EXPECT_EQ(pool.numThreads(), ThreadPool::defaultThreads());
+}
+
+TEST(ThreadPool, DefaultThreadsFollowsTheAffinityMask)
+{
+    cpu_set_t saved;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+    int first = 0;
+    while (!CPU_ISSET(first, &saved))
+        ++first;
+    // Pinned to one CPU (what `taskset -c N` does), the default width
+    // must drop to 1 whatever the host's core count.
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    const int pinned = ThreadPool::defaultThreads();
+    ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_EQ(pinned, 1);
+    EXPECT_LE(ThreadPool::defaultThreads(), CPU_COUNT(&saved));
+}
+
+TEST(ThreadPool, ForEachShardRunsEveryShardOnce)
+{
+    for (int width : {0, 1, 3, 16}) {
+        std::vector<std::atomic<int>> runs(10);
+        ThreadPool::forEachShard(
+            runs.size(), [&runs](std::size_t s) { runs[s].fetch_add(1); },
+            width);
+        for (std::size_t s = 0; s < runs.size(); ++s)
+            EXPECT_EQ(runs[s].load(), 1) << "width " << width;
+    }
+    ThreadPool::forEachShard(0, [](std::size_t) { FAIL(); });
 }
 
 TEST(ThreadPool, StatsAndRegistryAreWidthInvariant)

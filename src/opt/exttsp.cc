@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <numeric>
+#include <span>
 
 #include "support/panic.hh"
 
@@ -131,40 +132,74 @@ localAdjustedSizes(const Procedure& proc,
 
 } // namespace
 
-double
-extTspScore(const core::Layout& layout, const profile::Profile& profile,
-            const ExtTspParams& params)
+ExtTspEdges::ExtTspEdges(const program::Program& prog,
+                         const profile::Profile& profile)
 {
-    const program::Program& prog = layout.prog();
-    double total = 0.0;
-    // Flow edges in fixed program order (proc id, then edge index) so
-    // the floating-point sum is bit-reproducible for equal layouts.
     for (ProcId p = 0; p < prog.numProcs(); ++p) {
         const Procedure& proc = prog.proc(p);
         for (const FlowEdge& e : proc.edges) {
             const GlobalBlockId from = prog.globalBlockId(p, e.from);
             const GlobalBlockId to = prog.globalBlockId(p, e.to);
             const std::uint64_t w = profile.edgeCount(from, to);
-            if (w == 0)
-                continue;
-            total += extTspEdgeScore(layout.blockAddr(from) +
-                                         layout.blockBytes(from),
-                                     layout.blockAddr(to), w, params);
+            if (w != 0)
+                edges.push_back({from, to, w});
         }
     }
-    if (params.include_calls) {
-        // Call edges: caller block -> callee entry. profile.calls()
-        // iterates a hash map, so sort into a canonical order first.
-        auto calls = profile.calls();
-        std::sort(calls.begin(), calls.end());
-        for (const auto& [caller_block, callee, w] : calls) {
-            const GlobalBlockId entry = prog.globalBlockId(callee, 0);
-            total += extTspEdgeScore(layout.blockAddr(caller_block) +
-                                         layout.blockBytes(caller_block),
-                                     layout.blockAddr(entry), w, params);
-        }
-    }
+    num_flow = edges.size();
+    // profile.calls() iterates a hash map; sort into a canonical order.
+    auto calls = profile.calls();
+    std::sort(calls.begin(), calls.end());
+    for (const auto& [caller_block, callee, w] : calls)
+        edges.push_back({caller_block, prog.globalBlockId(callee, 0), w});
+}
+
+namespace {
+
+/** The table prefix a layout score sums over. */
+std::span<const ExtTspEdges::Edge>
+scoredEdges(const ExtTspEdges& edges, const ExtTspParams& params)
+{
+    return std::span<const ExtTspEdges::Edge>(edges.edges)
+        .first(params.include_calls ? edges.edges.size()
+                                    : edges.num_flow);
+}
+
+} // namespace
+
+double
+extTspScore(const core::Layout& layout, const ExtTspEdges& edges,
+            const ExtTspParams& params)
+{
+    double total = 0.0;
+    for (const ExtTspEdges::Edge& e : scoredEdges(edges, params))
+        total += extTspEdgeScore(layout.blockAddr(e.src) +
+                                     layout.blockBytes(e.src),
+                                 layout.blockAddr(e.dst), e.count,
+                                 params);
     return total;
+}
+
+double
+extTspScore(const core::Layout& layout, const profile::Profile& profile,
+            const ExtTspParams& params)
+{
+    return extTspScore(layout, ExtTspEdges(layout.prog(), profile),
+                       params);
+}
+
+double
+extTspITlbCost(const core::Layout& layout, const ExtTspEdges& edges,
+               const ExtTspParams& params)
+{
+    const std::uint64_t page = params.itlb_page_bytes;
+    std::uint64_t total = 0;
+    for (const ExtTspEdges::Edge& e : scoredEdges(edges, params)) {
+        const std::uint64_t src_end =
+            layout.blockAddr(e.src) + layout.blockBytes(e.src);
+        if (src_end / page != layout.blockAddr(e.dst) / page)
+            total += e.count;
+    }
+    return static_cast<double>(total);
 }
 
 double
@@ -172,37 +207,8 @@ extTspITlbCost(const core::Layout& layout,
                const profile::Profile& profile,
                const ExtTspParams& params)
 {
-    const program::Program& prog = layout.prog();
-    const std::uint64_t page = params.itlb_page_bytes;
-    std::uint64_t total = 0;
-    auto crossings = [&](GlobalBlockId from, GlobalBlockId to,
-                         std::uint64_t w) {
-        const std::uint64_t src_end =
-            layout.blockAddr(from) + layout.blockBytes(from);
-        const std::uint64_t dst = layout.blockAddr(to);
-        if (src_end / page != dst / page)
-            total += w;
-    };
-    // Same fixed edge order as extTspScore, integer accumulation.
-    for (ProcId p = 0; p < prog.numProcs(); ++p) {
-        const Procedure& proc = prog.proc(p);
-        for (const FlowEdge& e : proc.edges) {
-            const GlobalBlockId from = prog.globalBlockId(p, e.from);
-            const GlobalBlockId to = prog.globalBlockId(p, e.to);
-            const std::uint64_t w = profile.edgeCount(from, to);
-            if (w != 0)
-                crossings(from, to, w);
-        }
-    }
-    if (params.include_calls) {
-        auto calls = profile.calls();
-        std::sort(calls.begin(), calls.end());
-        for (const auto& [caller_block, callee, w] : calls)
-            if (w != 0)
-                crossings(caller_block, prog.globalBlockId(callee, 0),
-                          w);
-    }
-    return static_cast<double>(total);
+    return extTspITlbCost(layout, ExtTspEdges(layout.prog(), profile),
+                          params);
 }
 
 double

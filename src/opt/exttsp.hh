@@ -93,24 +93,59 @@ double extTspEdgeScore(std::uint64_t src_end, std::uint64_t dst_addr,
                        std::uint64_t count, const ExtTspParams& params);
 
 /**
- * ExtTSP score of a full layout under a profile: flow edges of every
- * procedure plus (optionally) call edges, each scored by the kernel
- * above at the layout's addresses. Higher is better. Deterministic:
- * edges are accumulated in a fixed program order, so equal layouts
- * produce bit-equal scores.
+ * The profiled transfer edges a layout score sums over, flattened once
+ * per (program, profile) in the canonical summation order: flow edges
+ * with a non-zero count by (procedure id, edge index), then every call
+ * edge (caller block -> callee entry) sorted by (caller block, callee).
+ * A search scores many layouts under one profile; building this once
+ * replaces a hash lookup per flow edge and a copy-and-sort of the call
+ * list per score.
  */
+struct ExtTspEdges
+{
+    struct Edge
+    {
+        program::GlobalBlockId src = 0;
+        program::GlobalBlockId dst = 0;
+        std::uint64_t count = 0;
+    };
+
+    ExtTspEdges(const program::Program& prog,
+                const profile::Profile& profile);
+
+    /** Flow edges first, then call edges. */
+    std::vector<Edge> edges;
+    /** edges[0, num_flow) are the flow edges. */
+    std::size_t num_flow = 0;
+};
+
+/**
+ * ExtTSP score of a full layout: the flow edges plus (with
+ * params.include_calls) the call edges of `edges`, each scored by the
+ * kernel above at the layout's addresses, summed in table order.
+ * Higher is better; equal layouts produce bit-equal scores.
+ */
+double extTspScore(const core::Layout& layout, const ExtTspEdges& edges,
+                   const ExtTspParams& params = {});
+
+/** extTspScore over a table built from `profile` for this call. */
 double extTspScore(const core::Layout& layout,
                    const profile::Profile& profile,
                    const ExtTspParams& params = {});
 
 /**
- * Weighted page-cross count of a layout: sum over profiled transfer
- * edges (flow + optional calls, same fixed order as extTspScore) of
- * `count` for every edge whose source end and target addresses fall on
- * different `itlb_page_bytes` pages. This is the raw quantity behind
- * the itlb_weight term — a trace-free proxy for standalone-iTLB
- * pressure. Lower is better. Deterministic fixed-order integer sum.
+ * Weighted page-cross count of a layout: sum over the table's edges
+ * (flow + optional calls, same order as extTspScore) of `count` for
+ * every edge whose source end and target addresses fall on different
+ * `itlb_page_bytes` pages. This is the raw quantity behind the
+ * itlb_weight term — a trace-free proxy for standalone-iTLB pressure.
+ * Lower is better. Deterministic fixed-order integer sum.
  */
+double extTspITlbCost(const core::Layout& layout,
+                      const ExtTspEdges& edges,
+                      const ExtTspParams& params = {});
+
+/** extTspITlbCost over a table built from `profile` for this call. */
 double extTspITlbCost(const core::Layout& layout,
                       const profile::Profile& profile,
                       const ExtTspParams& params = {});

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
+#include <iterator>
 #include <unordered_map>
 
 #include "core/split.hh"
@@ -38,7 +39,7 @@ struct GtResult
     std::uint64_t itlb2m = 0;
 };
 
-/** Ground-truth evaluator: engine replay on the recorded trace with a
+/** Ground-truth evaluator: SoA replay on the recorded trace with a
  *  fingerprint-keyed result cache. */
 class GroundTruth
 {
@@ -61,8 +62,13 @@ class GroundTruth
                        sopts.rerank_config.line_bytes}};
     }
 
-    /** Measurements for every entry (cached or freshly replayed;
-     *  uncached entries replay concurrently on the pool). */
+    /**
+     * Measurements for every entry (cached or freshly replayed).
+     * Uncached entries replay one at a time, each on every core: the
+     * resolve shards the event stream on its own call-local pool and
+     * the i-cache and iTLB kernels shard by CPU on `pool`. One resolved
+     * trace is alive at a time.
+     */
     std::vector<GtResult>
     evaluate(const std::vector<const ScoredCandidate*>& entries,
              support::ThreadPool* pool)
@@ -80,29 +86,23 @@ class GroundTruth
         }
         SPIKESIM_ASSERT(trace_ != nullptr || todo.empty(),
                         "ground-truth evaluation needs a trace");
-        auto replay = [&](std::size_t i) {
+        for (std::size_t i : todo) {
             const core::Layout layout =
                 materialize(entries[i]->cand, prog_, aopts_);
             const sim::Replayer rep(*trace_, layout, kernel_);
-            const sim::ResolvedTrace rt = rep.resolve(filter_);
+            const sim::ResolvedTraceSoA soa = rep.resolveSoA(filter_);
             out[i].misses =
-                sim::replayICache(rt, {&config_, 1}, nullptr)[0].misses;
+                sim::replayICache(soa, {&config_, 1},
+                                  sim::SimdMode::Auto, pool)[0]
+                    .misses;
             if (!specs_.empty()) {
-                const auto tlb = sim::replayITlb(rt, specs_, nullptr);
+                const auto tlb = sim::replayITlb(
+                    soa, specs_, sim::SimdMode::Auto, pool);
                 out[i].itlb4k = tlb[0].misses;
                 out[i].itlb2m = tlb[1].misses;
             }
-        };
-        if (pool != nullptr && todo.size() > 1) {
-            for (std::size_t i : todo)
-                pool->submit([&replay, i] { replay(i); });
-            pool->wait();
-        } else {
-            for (std::size_t i : todo)
-                replay(i);
-        }
-        for (std::size_t i : todo)
             cache_.emplace(entries[i]->fp, out[i]);
+        }
         evals_ += todo.size();
         return out;
     }
@@ -122,6 +122,22 @@ class GroundTruth
     std::uint64_t evals_ = 0;
     std::uint64_t hits_ = 0;
 };
+
+/** Run fn(0) .. fn(n - 1) on the pool, or in index order without
+ *  one. Callers write only slot i from fn(i). */
+template <class Fn>
+void
+forEachIndex(support::ThreadPool* pool, std::size_t n, const Fn& fn)
+{
+    if (pool == nullptr) {
+        for (std::size_t i = 0; i < n; ++i)
+            fn(i);
+        return;
+    }
+    for (std::size_t i = 0; i < n; ++i)
+        pool->submit([&fn, i] { fn(i); });
+    pool->wait();
+}
 
 /** Segment byte size under tight packing (no branch adjustment). */
 std::uint64_t
@@ -172,12 +188,15 @@ searchLayout(const program::Program& prog,
     aopts.text_base = popts.text_base;
     aopts.segment_align = popts.segment_align;
 
+    // Every proxy score of this search sums over one edge table.
+    const ExtTspEdges edges(prog, profile);
+
     // Seed: the greedy pipeline's layout, re-materialized tight.
     ScoredCandidate seed;
     seed.cand =
         candidateFromLayout(core::buildLayout(prog, profile, popts));
     seed.fp = fingerprint(seed.cand);
-    seed.score = extTspScore(materialize(seed.cand, prog, aopts), profile,
+    seed.score = extTspScore(materialize(seed.cand, prog, aopts), edges,
                              sopts.exttsp);
 
     SearchResult result{materialize(seed.cand, prog, aopts)};
@@ -244,7 +263,7 @@ searchLayout(const program::Program& prog,
                                sopts.page.region_page_bytes);
             hc.fp = fingerprint(hc.cand);
             hc.score = extTspScore(materialize(hc.cand, prog, aopts),
-                                   profile, sopts.exttsp);
+                                   edges, sopts.exttsp);
             return hc;
         };
         // A ladder of thresholds around the configured one: where the
@@ -254,10 +273,13 @@ searchLayout(const program::Program& prog,
         // one. Duplicate fingerprints collapse in the survivor dedup.
         const std::uint64_t base =
             std::max<std::uint64_t>(1, sopts.page.hot_threshold);
-        for (const std::uint64_t thr :
-             {base, base * 5 / 4, base * 3 / 2, base * 2})
-            hotcolds.push_back(makeHotCold(std::max<std::uint64_t>(
-                1, thr)));
+        const std::uint64_t ladder[] = {base, base * 5 / 4, base * 3 / 2,
+                                        base * 2};
+        hotcolds.resize(std::size(ladder));
+        forEachIndex(pool, hotcolds.size(), [&](std::size_t j) {
+            hotcolds[j] =
+                makeHotCold(std::max<std::uint64_t>(1, ladder[j]));
+        });
 
         HierarchyParams hp;
         hp.tiers = sopts.page.merge_tiers;
@@ -270,7 +292,7 @@ searchLayout(const program::Program& prog,
                            sopts.page.region_page_bytes);
         hier.fp = fingerprint(hier.cand);
         hier.score = extTspScore(materialize(hier.cand, prog, aopts),
-                                 profile, sopts.exttsp);
+                                 edges, sopts.exttsp);
     }
 
     ScoredCandidate incumbent = seed;
@@ -408,37 +430,35 @@ searchLayout(const program::Program& prog,
     for (int e = 0; e < sopts.epochs; ++e) {
         obs::Span epoch_span("search.epoch", "opt");
         batch.resize(static_cast<std::size_t>(sopts.batch));
-        // Generate the batch sequentially (seeded per-candidate
-        // streams), then score it in parallel; scores are pure
-        // per-candidate functions, so pool width cannot change them.
-        for (int i = 0; i < sopts.batch; ++i) {
+        // Generate and score the batch in parallel: every candidate
+        // draws from its own seeded stream and counts its operators in
+        // its own slot (summed below), and scores are
+        // pure per-candidate functions, so pool width cannot change
+        // the batch.
+        std::vector<PerturbCounts> op_counts(batch.size());
+        auto make = [&](std::size_t i) {
             support::Pcg32 rng(
                 sopts.seed,
                 kCandidateStreamBase +
                     static_cast<std::uint64_t>(e) *
                         static_cast<std::uint64_t>(sopts.batch) +
                     static_cast<std::uint64_t>(i));
-            ScoredCandidate& c = batch[static_cast<std::size_t>(i)];
+            ScoredCandidate& c = batch[i];
             c.cand = incumbent.cand;
             const int ops =
                 1 + static_cast<int>(rng.nextBounded(
                         static_cast<std::uint32_t>(sopts.max_ops)));
-            perturb(c.cand, rng, ops, &result.perturb_counts);
+            perturb(c.cand, rng, ops, &op_counts[i]);
             c.fp = fingerprint(c.cand);
-        }
-        auto score = [&](std::size_t i) {
-            batch[i].score = extTspScore(
-                materialize(batch[i].cand, prog, aopts), profile,
-                sopts.exttsp);
+            c.score = extTspScore(materialize(c.cand, prog, aopts), edges,
+                                  sopts.exttsp);
         };
-        if (pool != nullptr) {
-            for (std::size_t i = 0; i < batch.size(); ++i)
-                pool->submit([&score, i] { score(i); });
-            pool->wait();
-        } else {
-            for (std::size_t i = 0; i < batch.size(); ++i)
-                score(i);
-        }
+        forEachIndex(pool, batch.size(), make);
+        for (const PerturbCounts& pc : op_counts)
+            for (std::size_t op = 0; op < kNumPerturbOps; ++op) {
+                result.perturb_counts.applied[op] += pc.applied[op];
+                result.perturb_counts.noop[op] += pc.noop[op];
+            }
         result.proxy_evals += batch.size();
         c_proxy.add(batch.size());
 

@@ -8,6 +8,7 @@
 #include "mem/lrustack.hh"
 #include "sim/soa.hh"
 #include "support/panic.hh"
+#include "support/threadpool.hh"
 
 namespace spikesim::sim {
 
@@ -467,125 +468,215 @@ Replayer::resolve(StreamFilter filter, bool include_data) const
     return out;
 }
 
-const Replayer::ResolveCounts&
-Replayer::countsFor(StreamFilter filter, bool include_data) const
+namespace {
+
+/** Events below which a resolve runs as one chunk: a chunk costs a
+ *  small per-(chunk, CPU) prefix step and, above one chunk, a pool. */
+constexpr std::size_t kMinChunkEvents = 1u << 16;
+/** Chunks per worker, so a worker slowed by a noisy neighbour does not
+ *  hold up the whole pass. */
+constexpr std::size_t kChunksPerWorker = 4;
+
+/** What a chunk leaves in one CPU's pending run-break slot. */
+enum class BreakState : std::uint8_t {
+    None,    ///< no block event of this CPU touched it
+    Set,     ///< last was a filtered-out block event
+    Cleared, ///< last was an emitted block ref
+};
+
+/** Block size and address by global block id for one image, copied out
+ *  of the layout so the passes index flat arrays instead of calling
+ *  the layout's checked accessors per event. */
+struct ImageTable
 {
-    const std::size_t key = static_cast<std::size_t>(filter) * 2 +
-                            (include_data ? 1 : 0);
-    SPIKESIM_ASSERT(key < counts_memo_.size(), "bad filter value");
+    std::vector<std::uint32_t> size;
+    std::vector<std::uint64_t> addr;
+    bool present = false;
+
+    explicit ImageTable(const core::Layout* layout)
     {
-        std::lock_guard<std::mutex> lock(counts_mu_);
-        if (counts_memo_[key].has_value())
-            return *counts_memo_[key];
-    }
-
-    // The counting pass reads a dense one-byte emits-a-ref table per
-    // image (built here in one sweep over the block ids, L2-resident)
-    // instead of the 4-byte layout size table, and leaves the
-    // instruction accounting to the fill pass — which touches every
-    // qualifying block anyway — so this is a pure event-stream walk.
-    const auto refTable = [](const core::Layout& l) {
-        std::vector<std::uint8_t> t(l.prog().numBlocks());
-        for (std::uint32_t g = 0; g < t.size(); ++g)
-            t[g] = l.blockSize(g) != 0 ? 1 : 0;
-        return t;
-    };
-    const std::vector<std::uint8_t> app_ref = refTable(app_);
-    const std::vector<std::uint8_t> kernel_ref =
-        kernel_ != nullptr ? refTable(*kernel_)
-                           : std::vector<std::uint8_t>();
-    ResolveCounts rc;
-    rc.count.assign(static_cast<std::size_t>(num_cpus_), 0);
-    for (const TraceEvent& e : trace_.events()) {
-        if (e.image == ImageId::Data) {
-            if (include_data) {
-                ++rc.count[e.cpu];
-                ++rc.n_data;
-            }
-            continue;
-        }
-        if (!wantImage(filter, e.image))
-            continue;
-        if (e.image == ImageId::App) {
-            rc.count[e.cpu] += app_ref[e.block];
-        } else {
-            SPIKESIM_ASSERT(
-                kernel_ != nullptr,
-                "replaying kernel events requires a kernel layout");
-            rc.count[e.cpu] += kernel_ref[e.block];
+        if (layout == nullptr)
+            return;
+        present = true;
+        const std::uint32_t n = layout->prog().numBlocks();
+        size.resize(n);
+        addr.resize(n);
+        for (std::uint32_t g = 0; g < n; ++g) {
+            size[g] = layout->blockSize(g);
+            addr[g] = layout->blockAddr(g);
         }
     }
+};
 
-    std::lock_guard<std::mutex> lock(counts_mu_);
-    if (!counts_memo_[key].has_value())
-        counts_memo_[key] = std::move(rc);
-    return *counts_memo_[key];
-}
+/** Pass-1 product of one chunk. Per-CPU values are indexed by CPU. */
+struct ChunkCounts
+{
+    std::vector<std::size_t> refs;
+    std::vector<BreakState> brk;
+    std::size_t data = 0;
+    std::uint64_t instr_events = 0;
+    std::uint64_t instrs = 0;
+};
+
+} // namespace
 
 ResolvedTraceSoA
 Replayer::resolveSoA(StreamFilter filter, bool include_data) const
 {
+    const std::size_t workers =
+        static_cast<std::size_t>(support::ThreadPool::defaultThreads());
+    const std::size_t chunks = std::clamp<std::size_t>(
+        trace_.size() / kMinChunkEvents, 1, workers * kChunksPerWorker);
+    return detail::resolveSoA(*this, filter, include_data, chunks);
+}
+
+/**
+ * Two passes over `chunks` contiguous event ranges, each pass sharded
+ * across a call-local pool. Pass 1 counts, per (chunk, CPU), the refs a
+ * chunk emits and the run-break state it leaves, plus the chunk's
+ * data-event and instruction totals. An exclusive prefix over the
+ * chunks (in trace order) then gives every chunk its write cursor in
+ * each CPU slice, the kRefRunBreak it inherits on each CPU, and its
+ * offset into data_refs. Pass 2 writes every column slot by index.
+ * Each ref lands at the position and with the flag the serial
+ * cursor walk would give it, so the output is independent of the chunk
+ * count and of scheduling.
+ */
+ResolvedTraceSoA
+detail::resolveSoA(const Replayer& rep, StreamFilter filter,
+                   bool include_data, std::size_t chunks)
+{
+    SPIKESIM_ASSERT(chunks >= 1, "resolve needs at least one chunk");
+    const std::vector<TraceEvent>& events = rep.trace().events();
+    const std::size_t n_cpus = static_cast<std::size_t>(rep.numCpus());
+    const ImageTable app(wantImage(filter, ImageId::App) ? &rep.app()
+                                                         : nullptr);
+    const ImageTable kernel(wantImage(filter, ImageId::Kernel)
+                                ? rep.kernel()
+                                : nullptr);
+    const auto chunkBegin = [&](std::size_t k) {
+        return events.size() * k / chunks;
+    };
+
+    // Pass 1: count. Counters live in locals until the chunk ends, so
+    // workers never write to neighbouring slots mid-walk.
+    std::vector<ChunkCounts> counts(chunks);
+    support::ThreadPool::forEachShard(chunks, [&](std::size_t k) {
+        std::vector<std::size_t> refs(n_cpus, 0);
+        std::vector<BreakState> brk(n_cpus, BreakState::None);
+        std::size_t data = 0;
+        std::uint64_t instr_events = 0;
+        std::uint64_t instrs = 0;
+        for (std::size_t i = chunkBegin(k); i < chunkBegin(k + 1); ++i) {
+            const TraceEvent& e = events[i];
+            if (e.image == ImageId::Data) {
+                if (include_data) {
+                    ++refs[e.cpu];
+                    ++data;
+                }
+                continue;
+            }
+            if (!wantImage(filter, e.image)) {
+                brk[e.cpu] = BreakState::Set;
+                continue;
+            }
+            const ImageTable& t = e.image == ImageId::App ? app : kernel;
+            SPIKESIM_ASSERT(
+                t.present,
+                "replaying kernel events requires a kernel layout");
+            SPIKESIM_ASSERT(e.block < t.size.size(),
+                            "block id out of range");
+            const std::uint32_t size = t.size[e.block];
+            ++instr_events;
+            instrs += size;
+            if (size != 0) {
+                ++refs[e.cpu];
+                brk[e.cpu] = BreakState::Cleared;
+            }
+        }
+        counts[k] = {std::move(refs), std::move(brk), data, instr_events,
+                     instrs};
+    });
+
+    // Exclusive prefix over chunks in trace order.
     ResolvedTraceSoA out;
-    out.num_cpus = num_cpus_;
-    const std::size_t n_cpus = static_cast<std::size_t>(num_cpus_);
-
-    // Pass 1 (memoized per filter): per-CPU ref counts plus the global
-    // data-event count, so every column and data_refs get one
-    // exact-size allocation (no growth reallocation anywhere in the
-    // resolve phase).
-    const ResolveCounts& rc = countsFor(filter, include_data);
-    const std::vector<std::size_t>& count = rc.count;
-    const std::size_t n_data = rc.n_data;
-
+    out.num_cpus = rep.numCpus();
+    std::vector<std::size_t> cursor(chunks * n_cpus);
+    std::vector<std::uint8_t> carry(chunks * n_cpus);
+    std::vector<std::size_t> data_at(chunks);
+    std::vector<std::size_t> slice(n_cpus, 0);
+    std::vector<std::uint8_t> pending(n_cpus, 0);
+    std::size_t n_data = 0;
+    for (std::size_t k = 0; k < chunks; ++k) {
+        const ChunkCounts& cc = counts[k];
+        for (std::size_t c = 0; c < n_cpus; ++c) {
+            cursor[k * n_cpus + c] = slice[c];
+            carry[k * n_cpus + c] = pending[c];
+            slice[c] += cc.refs[c];
+            if (cc.brk[c] == BreakState::Set)
+                pending[c] = kRefRunBreak;
+            else if (cc.brk[c] == BreakState::Cleared)
+                pending[c] = 0;
+        }
+        data_at[k] = n_data;
+        n_data += cc.data;
+        out.instr_events += cc.instr_events;
+        out.instrs += cc.instrs;
+    }
     out.cpu_begin.assign(n_cpus + 1, 0);
     for (std::size_t c = 0; c < n_cpus; ++c)
-        out.cpu_begin[c + 1] = out.cpu_begin[c] + count[c];
+        out.cpu_begin[c + 1] = out.cpu_begin[c] + slice[c];
+    for (std::size_t k = 0; k < chunks; ++k)
+        for (std::size_t c = 0; c < n_cpus; ++c)
+            cursor[k * n_cpus + c] += out.cpu_begin[c];
     const std::size_t total = out.cpu_begin[n_cpus];
     out.addr.resize(total);
     out.bytes.resize(total);
     out.owner.resize(total);
     out.flags.resize(total);
-    out.data_refs.reserve(n_data);
+    out.data_refs.resize(n_data);
 
-    // Pass 2: write each CPU's column slices in trace order — the same
-    // cursor walk as resolve(), but straight into the four columns
-    // (14 bytes per ref instead of a 24-byte struct plus a transpose),
-    // accumulating instr_events/instrs alongside.
-    std::vector<std::size_t> cursor(out.cpu_begin.begin(),
-                                    out.cpu_begin.end() - 1);
-    std::vector<std::uint8_t> pending(n_cpus, 0);
-    for (const TraceEvent& e : trace_.events()) {
-        if (e.image == ImageId::Data) {
-            if (include_data) {
-                const std::uint64_t addr =
-                    static_cast<std::uint64_t>(e.block) << 2;
-                const std::size_t i = cursor[e.cpu]++;
-                out.addr[i] = addr;
-                out.bytes[i] = 4;
-                out.owner[i] =
-                    static_cast<std::uint8_t>(mem::Owner::Data);
-                out.flags[i] = 0;
-                out.data_refs.push_back({addr, e.cpu});
+    // Pass 2: fill. The same cursor walk as resolve(), started from the
+    // chunk's cursors and carried-in run breaks, writing ~14 bytes per
+    // ref straight into the four column slices.
+    support::ThreadPool::forEachShard(chunks, [&](std::size_t k) {
+        std::vector<std::size_t> cur(cursor.begin() + k * n_cpus,
+                                     cursor.begin() + (k + 1) * n_cpus);
+        std::vector<std::uint8_t> brk(carry.begin() + k * n_cpus,
+                                      carry.begin() + (k + 1) * n_cpus);
+        std::size_t d = data_at[k];
+        for (std::size_t i = chunkBegin(k); i < chunkBegin(k + 1); ++i) {
+            const TraceEvent& e = events[i];
+            if (e.image == ImageId::Data) {
+                if (include_data) {
+                    const std::uint64_t addr =
+                        static_cast<std::uint64_t>(e.block) << 2;
+                    const std::size_t j = cur[e.cpu]++;
+                    out.addr[j] = addr;
+                    out.bytes[j] = 4;
+                    out.owner[j] =
+                        static_cast<std::uint8_t>(mem::Owner::Data);
+                    out.flags[j] = 0;
+                    out.data_refs[d++] = {addr, e.cpu};
+                }
+                continue;
             }
-            continue;
+            if (!wantImage(filter, e.image)) {
+                brk[e.cpu] = kRefRunBreak;
+                continue;
+            }
+            const ImageTable& t = e.image == ImageId::App ? app : kernel;
+            const std::uint32_t size = t.size[e.block];
+            if (size == 0)
+                continue;
+            const std::size_t j = cur[e.cpu]++;
+            out.addr[j] = t.addr[e.block];
+            out.bytes[j] = size * program::kInstrBytes;
+            out.owner[j] = static_cast<std::uint8_t>(ownerOf(e.image));
+            out.flags[j] = brk[e.cpu];
+            brk[e.cpu] = 0;
         }
-        if (!wantImage(filter, e.image)) {
-            pending[e.cpu] = kRefRunBreak;
-            continue;
-        }
-        const core::Layout& layout = layoutFor(e.image, app_, kernel_);
-        ++out.instr_events;
-        const std::uint32_t size = layout.blockSize(e.block);
-        out.instrs += size;
-        if (size == 0)
-            continue;
-        const std::size_t i = cursor[e.cpu]++;
-        out.addr[i] = layout.blockAddr(e.block);
-        out.bytes[i] = size * program::kInstrBytes;
-        out.owner[i] = static_cast<std::uint8_t>(ownerOf(e.image));
-        out.flags[i] = pending[e.cpu];
-        pending[e.cpu] = 0;
-    }
+    });
     return out;
 }
 

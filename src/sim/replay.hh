@@ -1,10 +1,7 @@
 #ifndef SPIKESIM_SIM_REPLAY_HH
 #define SPIKESIM_SIM_REPLAY_HH
 
-#include <array>
 #include <cstdint>
-#include <mutex>
-#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -323,9 +320,13 @@ class Replayer
      * kernel replay paths, skipping the AoS intermediate and its
      * transpose. Field-for-field identical to toSoA(resolve(...)) —
      * the fuzz in tests/replay_parallel_test.cc pins that — with every
-     * column and data_refs sized exactly from the first counting pass
-     * (no growth reallocation). resolve() remains the differential
-     * oracle.
+     * column and data_refs sized exactly from a counting pass (no
+     * growth reallocation). Both passes run chunk-parallel on a
+     * call-local pool sized by the process's CPU affinity; the output
+     * does not depend on the chunk count (see detail::resolveSoA).
+     * resolve() remains the differential oracle. Panics with "block id
+     * out of range" before writing any column if an event names a
+     * block the layout does not have.
      */
     ResolvedTraceSoA resolveSoA(StreamFilter filter,
                                 bool include_data = false) const;
@@ -379,29 +380,25 @@ class Replayer
     std::uint64_t dynamicInstrs(StreamFilter filter) const;
 
   private:
-    /** Per-CPU ref counts (and data-event total) for one (filter,
-     *  include_data) key — the sizing product of resolveSoA's counting
-     *  pass. A pure function of the immutable trace and layouts, so it
-     *  is computed once and memoized: benches and multi-family suites
-     *  resolve the same stream repeatedly, and the counting walk is
-     *  ~15% of the resolve phase. */
-    struct ResolveCounts
-    {
-        std::vector<std::size_t> count;
-        std::size_t n_data = 0;
-    };
-
-    const ResolveCounts& countsFor(StreamFilter filter,
-                                   bool include_data) const;
-
     const trace::TraceBuffer& trace_;
     const core::Layout& app_;
     const core::Layout* kernel_;
     int num_cpus_ = 1;
-    mutable std::mutex counts_mu_;
-    /** Memo slots indexed filter * 2 + include_data. */
-    mutable std::array<std::optional<ResolveCounts>, 6> counts_memo_;
 };
+
+namespace detail {
+
+/**
+ * Replayer::resolveSoA with an explicit chunk count (test seam): the
+ * event stream is cut into `chunks` contiguous ranges that are counted
+ * and filled concurrently. The output is identical for every chunk
+ * count >= 1; Replayer::resolveSoA picks one from the trace length and
+ * the host's thread count.
+ */
+ResolvedTraceSoA resolveSoA(const Replayer& rep, StreamFilter filter,
+                            bool include_data, std::size_t chunks);
+
+} // namespace detail
 
 } // namespace spikesim::sim
 

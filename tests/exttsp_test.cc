@@ -3,12 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <string>
 #include <vector>
 
 #include "core/chain.hh"
+#include "core/pipeline.hh"
 #include "opt/exttsp.hh"
+#include "opt/perturb.hh"
 #include "program/builder.hh"
 #include "program/program.hh"
+#include "support/rng.hh"
+#include "synth/synthprog.hh"
+#include "synth/walker.hh"
+#include "trace/trace.hh"
 
 namespace spikesim::opt {
 namespace {
@@ -227,6 +235,123 @@ TEST(ExtTspOracle, SevenBlockCfgMatchesBruteForce)
             std::max(max_score, extTspOrderScore(p, 0, prof, order));
     } while (std::next_permutation(rest.begin(), rest.end()));
     EXPECT_DOUBLE_EQ(best.score, max_score);
+}
+
+
+/** Synthetic app image with a recorded profile (flow + call edges). */
+struct SynthWorkload
+{
+    synth::SyntheticProgram image;
+    profile::Profile prof;
+
+    SynthWorkload()
+        : image(synth::buildSyntheticProgram(
+              synth::SynthParams::kernelLike(5))),
+          prof(image.prog)
+    {
+        profile::ProfileRecorder rec(trace::ImageId::App, prof);
+        synth::CfgWalker w(image.prog, trace::ImageId::App, 5);
+        trace::ExecContext ctx;
+        for (int i = 0; i < 10; ++i) {
+            w.run(image.entry("sys_read"), ctx, rec);
+            w.run(image.entry("sched_switch"), ctx, rec);
+        }
+    }
+};
+
+/** Reference sums written out edge by edge from the profile: flow
+ *  edges by (proc, edge index), then the sorted call edges. */
+struct HandSum
+{
+    double score = 0.0;
+    std::uint64_t page_crossings = 0;
+};
+
+HandSum
+handSum(const core::Layout& layout, const profile::Profile& prof,
+        const ExtTspParams& params)
+{
+    const Program& prog = layout.prog();
+    HandSum h;
+    const auto add = [&](program::GlobalBlockId from,
+                         program::GlobalBlockId to, std::uint64_t w) {
+        const std::uint64_t src_end =
+            layout.blockAddr(from) + layout.blockBytes(from);
+        const std::uint64_t dst = layout.blockAddr(to);
+        h.score += extTspEdgeScore(src_end, dst, w, params);
+        if (src_end / params.itlb_page_bytes !=
+            dst / params.itlb_page_bytes)
+            h.page_crossings += w;
+    };
+    for (program::ProcId p = 0; p < prog.numProcs(); ++p)
+        for (const program::FlowEdge& e : prog.proc(p).edges) {
+            const auto from = prog.globalBlockId(p, e.from);
+            const auto to = prog.globalBlockId(p, e.to);
+            if (const std::uint64_t w = prof.edgeCount(from, to); w != 0)
+                add(from, to, w);
+        }
+    if (params.include_calls) {
+        auto calls = prof.calls();
+        std::sort(calls.begin(), calls.end());
+        for (const auto& [caller, callee, w] : calls)
+            add(caller, prog.globalBlockId(callee, 0), w);
+    }
+    return h;
+}
+
+/**
+ * The edge-table scorer must sum exactly the terms of a hand-written
+ * walk over the profile, in the same order, so every score is
+ * bit-equal — on randomly perturbed candidates, with and without call
+ * edges, under the classic and the page-aware parameter sets.
+ */
+TEST(ExtTspEdges, ScoresAreBitEqualToAHandSummedReference)
+{
+    const SynthWorkload w;
+    const Program& prog = w.image.prog;
+    const ExtTspEdges edges(prog, w.prof);
+    ASSERT_GT(edges.num_flow, 0u);
+    ASSERT_GT(edges.edges.size(), edges.num_flow); // has call edges
+
+    ExtTspParams page;
+    page.gap_weight = 0.05;
+    page.page4k_weight = 0.02;
+    page.page2m_weight = 0.01;
+    page.itlb_weight = 0.05;
+
+    core::PipelineOptions popts;
+    popts.combo = core::OptCombo::All;
+    Candidate cand =
+        candidateFromLayout(core::buildLayout(prog, w.prof, popts));
+    support::Pcg32 rng(2024, 7);
+    for (int round = 0; round < 40; ++round) {
+        perturb(cand, rng, 1 + static_cast<int>(rng.nextBounded(4)));
+        const core::Layout layout = materialize(cand, prog, {});
+        for (ExtTspParams params : {ExtTspParams{}, page}) {
+            for (bool calls : {true, false}) {
+                params.include_calls = calls;
+                const HandSum want = handSum(layout, w.prof, params);
+                const std::string what =
+                    "round " + std::to_string(round) +
+                    (calls ? " +calls" : "") +
+                    (params.gap_weight > 0.0 ? " page" : "");
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                              extTspScore(layout, edges, params)),
+                          std::bit_cast<std::uint64_t>(want.score))
+                    << what;
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                              extTspScore(layout, w.prof, params)),
+                          std::bit_cast<std::uint64_t>(want.score))
+                    << what;
+                EXPECT_EQ(extTspITlbCost(layout, edges, params),
+                          static_cast<double>(want.page_crossings))
+                    << what;
+                EXPECT_EQ(extTspITlbCost(layout, w.prof, params),
+                          static_cast<double>(want.page_crossings))
+                    << what;
+            }
+        }
+    }
 }
 
 } // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <ostream>
 #include <vector>
 
 #include "opt/perturb.hh"
@@ -96,6 +99,147 @@ TEST(LayoutSearch, SameSeedIsByteIdenticalAcrossPoolWidths)
     EXPECT_EQ(serial.epoch_best, pooled.epoch_best);
     EXPECT_EQ(serial.best_misses, pooled.best_misses);
     EXPECT_EQ(serial.seed_misses, pooled.seed_misses);
+}
+
+/** Page-aware settings of the layout-search ablation (iTLB objective
+ *  terms and page-aware proxy terms on). */
+SearchOptions
+pageBudget(std::uint64_t seed)
+{
+    SearchOptions sopts = smallBudget(seed);
+    sopts.page.enabled = true;
+    sopts.page.itlb4k_weight = 2.0;
+    sopts.page.itlb2m_weight = 10.0;
+    sopts.exttsp.gap_weight = 0.05;
+    sopts.exttsp.page4k_weight = 0.02;
+    sopts.exttsp.page2m_weight = 0.01;
+    sopts.exttsp.itlb_weight = 0.05;
+    return sopts;
+}
+
+std::uint64_t
+bits(double d)
+{
+    return std::bit_cast<std::uint64_t>(d);
+}
+
+/** Everything a search reports about its run, doubles as bit
+ *  patterns, for exact comparison against recorded values. */
+struct SearchPin
+{
+    std::uint64_t winner_fp = 0;
+    std::uint64_t seed_misses = 0, seed_itlb4k = 0, seed_itlb2m = 0;
+    std::uint64_t seed_objective = 0;
+    std::uint64_t best_misses = 0, best_itlb4k = 0, best_itlb2m = 0;
+    std::uint64_t best_objective = 0;
+    /** (epoch, misses, itlb4k, objective bits) per re-rank point. */
+    std::vector<std::array<std::uint64_t, 4>> rerank_curve;
+    std::vector<std::uint64_t> epoch_best;
+    std::uint64_t sim_evals = 0, sim_cache_hits = 0;
+    /** Operators drawn: applied then no-op count per operator. */
+    std::vector<std::uint64_t> perturb_ops;
+
+    bool operator==(const SearchPin&) const = default;
+};
+
+SearchPin
+pinOf(const SearchResult& r)
+{
+    SearchPin p;
+    p.winner_fp = fingerprint(candidateFromLayout(r.layout));
+    p.seed_misses = r.seed_misses;
+    p.seed_itlb4k = r.seed_itlb4k;
+    p.seed_itlb2m = r.seed_itlb2m;
+    p.seed_objective = bits(r.seed_objective);
+    p.best_misses = r.best_misses;
+    p.best_itlb4k = r.best_itlb4k;
+    p.best_itlb2m = r.best_itlb2m;
+    p.best_objective = bits(r.best_objective);
+    for (const SearchResult::RerankPoint& pt : r.rerank_curve)
+        p.rerank_curve.push_back(
+            {static_cast<std::uint64_t>(pt.epoch), pt.misses, pt.itlb4k,
+             bits(pt.objective)});
+    for (double d : r.epoch_best)
+        p.epoch_best.push_back(bits(d));
+    p.sim_evals = r.sim_evals;
+    p.sim_cache_hits = r.sim_cache_hits;
+    for (std::size_t op = 0; op < kNumPerturbOps; ++op)
+        p.perturb_ops.insert(p.perturb_ops.end(),
+                             {r.perturb_counts.applied[op],
+                              r.perturb_counts.noop[op]});
+    return p;
+}
+
+void
+PrintTo(const SearchPin& p, std::ostream* os)
+{
+    *os << std::hex << "{0x" << p.winner_fp << std::dec << ", "
+        << p.seed_misses << ", " << p.seed_itlb4k << ", " << p.seed_itlb2m
+        << ", 0x" << std::hex << p.seed_objective << std::dec << ", "
+        << p.best_misses << ", " << p.best_itlb4k << ", " << p.best_itlb2m
+        << ", 0x" << std::hex << p.best_objective << std::dec << ",\n {";
+    for (const auto& pt : p.rerank_curve)
+        *os << "{" << pt[0] << ", " << pt[1] << ", " << pt[2] << ", 0x"
+            << std::hex << pt[3] << std::dec << "}, ";
+    *os << "},\n {";
+    for (std::uint64_t b : p.epoch_best)
+        *os << "0x" << std::hex << b << std::dec << ", ";
+    *os << "},\n " << p.sim_evals << ", " << p.sim_cache_hits << ",\n {";
+    for (std::uint64_t n : p.perturb_ops)
+        *os << n << ", ";
+    *os << "}}";
+}
+
+/**
+ * The search's full audit trail on the recorded trace, flat and
+ * page-aware, as recorded from the AoS-replay re-rank, the per-edge
+ * profile-lookup proxy and serial candidate generation. Serial and at
+ * every pool width, both modes must reproduce it bit for bit.
+ */
+TEST(LayoutSearch, PinnedResultsHoldAtEveryPoolWidth)
+{
+    Workload& w = shared();
+    core::PipelineOptions popts;
+    popts.combo = core::OptCombo::All;
+    const SearchPin flat = SearchPin{
+        0x902c766e838cf27dULL, 377, 0, 0, 0x4077900000000000ULL, 375, 0,
+        0, 0x4077700000000000ULL,
+        {{3, 376, 0, 0x4077800000000000ULL},
+         {6, 376, 0, 0x4077800000000000ULL},
+         {9, 375, 0, 0x4077700000000000ULL},
+         {12, 375, 0, 0x4077700000000000ULL}},
+        {0x40d2ed128e147ac7ULL, 0x40d2ee75ea3d708aULL,
+         0x40d2ee75ea3d708aULL, 0x40d2ee75ea3d708aULL,
+         0x40d2eff579999980ULL, 0x40d2eff579999980ULL,
+         0x40d2eff579999980ULL, 0x40d2eff579999980ULL,
+         0x40d2eff579999980ULL, 0x40d2eff579999980ULL,
+         0x40d2eff579999980ULL, 0x40d2eff579999980ULL},
+        15, 15,
+        {34, 0, 34, 0, 40, 0, 36, 0, 31, 0, 28, 0, 34, 1, 0, 0, 0, 0, 0, 0}};
+    const SearchPin paged = SearchPin{
+        0x5262eb55d015c81cULL, 377, 13, 1, 0x4079d00000000000ULL, 376, 13,
+        1, 0x4079c00000000000ULL,
+        {{3, 376, 13, 0x4079c00000000000ULL},
+         {6, 376, 13, 0x4079c00000000000ULL},
+         {9, 376, 13, 0x4079c00000000000ULL},
+         {12, 376, 13, 0x4079c00000000000ULL}},
+        std::vector<std::uint64_t>(12, 0x40d3f1beea3d70dbULL), 16, 24,
+        {0, 0, 0, 0, 0, 0, 0, 0, 36, 0, 44, 4, 33, 1, 45, 0, 7, 31, 37, 0}};
+    const auto run = [&](const SearchOptions& sopts,
+                         support::ThreadPool* pool) {
+        return pinOf(searchLayout(w.image.prog, w.prof, popts, sopts,
+                                  &w.buf, nullptr, pool));
+    };
+    SearchOptions flat_opts = smallBudget(42);
+    SearchOptions page_opts = pageBudget(42);
+    flat_opts.epochs = page_opts.epochs = 12;
+    EXPECT_EQ(run(flat_opts, nullptr), flat) << "serial flat";
+    EXPECT_EQ(run(page_opts, nullptr), paged) << "serial page";
+    for (int width : {1, 2, 4}) {
+        support::ThreadPool pool(width);
+        EXPECT_EQ(run(flat_opts, &pool), flat) << "width " << width;
+        EXPECT_EQ(run(page_opts, &pool), paged) << "width " << width;
+    }
 }
 
 TEST(LayoutSearch, ProgressIsMonotoneAndNeverBelowSeed)

@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/layout.hh"
@@ -428,13 +429,44 @@ TEST(ReplayEngine, MatchesHierarchyOracleWithCoherence)
     }
 }
 
+/** Every column element, partition offset, data ref, and total of two
+ *  SoA traces must match. */
+void
+expectSoAEq(const ResolvedTraceSoA& got, const ResolvedTraceSoA& want,
+            const std::string& what)
+{
+    ASSERT_EQ(got.size(), want.size()) << what;
+    ASSERT_EQ(got.addr, want.addr) << what;
+    ASSERT_EQ(got.bytes, want.bytes) << what;
+    ASSERT_EQ(got.owner, want.owner) << what;
+    ASSERT_EQ(got.flags, want.flags) << what;
+    ASSERT_EQ(got.cpu_begin, want.cpu_begin) << what;
+    EXPECT_EQ(got.num_cpus, want.num_cpus) << what;
+    EXPECT_EQ(got.instr_events, want.instr_events) << what;
+    EXPECT_EQ(got.instrs, want.instrs) << what;
+    ASSERT_EQ(got.data_refs.size(), want.data_refs.size()) << what;
+    for (std::size_t i = 0; i < got.data_refs.size(); ++i) {
+        EXPECT_EQ(got.data_refs[i].addr, want.data_refs[i].addr)
+            << what << " data ref " << i;
+        EXPECT_EQ(got.data_refs[i].cpu, want.data_refs[i].cpu)
+            << what << " data ref " << i;
+    }
+    for (int c = -1; c <= want.num_cpus; ++c)
+        EXPECT_EQ(got.cpuRange(c), want.cpuRange(c))
+            << what << " cpu " << c;
+}
+
+/** Chunk counts the chunked resolve is checked at: the small test
+ *  traces would otherwise always resolve as one chunk. */
+constexpr std::size_t kChunkCounts[] = {1, 2, 3, 7, 64};
+
 /**
  * The direct SoA resolve (Replayer::resolveSoA) must be bit-identical
  * to the retained transpose route (toSoA of Replayer::resolve) —
  * every column element, partition offset, data ref, and total, across
- * all filters, both include_data settings, and 1/2/4/8-CPU traces.
- * This is the differential oracle that lets the engine run on direct
- * resolve alone.
+ * all filters, both include_data settings, 1/2/4/8-CPU traces, and
+ * every chunk count of the parallel resolve. This is the differential
+ * oracle that lets the engine run on direct resolve alone.
  */
 TEST(ReplayEngine, DirectSoAResolveMatchesTransposeOfAoS)
 {
@@ -444,40 +476,185 @@ TEST(ReplayEngine, DirectSoAResolveMatchesTransposeOfAoS)
             for (bool data : {false, true}) {
                 const ResolvedTraceSoA via_aos =
                     toSoA(w.rep.resolve(filter, data));
-                const ResolvedTraceSoA direct =
-                    w.rep.resolveSoA(filter, data);
                 const std::string what =
                     "cpus " + std::to_string(cpus) + " filter " +
                     std::to_string(static_cast<int>(filter)) +
                     (data ? " +data" : "");
-                ASSERT_EQ(direct.size(), via_aos.size()) << what;
-                ASSERT_EQ(direct.addr, via_aos.addr) << what;
-                ASSERT_EQ(direct.bytes, via_aos.bytes) << what;
-                ASSERT_EQ(direct.owner, via_aos.owner) << what;
-                ASSERT_EQ(direct.flags, via_aos.flags) << what;
-                ASSERT_EQ(direct.cpu_begin, via_aos.cpu_begin) << what;
-                EXPECT_EQ(direct.num_cpus, via_aos.num_cpus) << what;
-                EXPECT_EQ(direct.instr_events, via_aos.instr_events)
-                    << what;
-                EXPECT_EQ(direct.instrs, via_aos.instrs) << what;
-                ASSERT_EQ(direct.data_refs.size(),
-                          via_aos.data_refs.size())
-                    << what;
-                for (std::size_t i = 0; i < direct.data_refs.size();
-                     ++i) {
-                    EXPECT_EQ(direct.data_refs[i].addr,
-                              via_aos.data_refs[i].addr)
-                        << what << " data ref " << i;
-                    EXPECT_EQ(direct.data_refs[i].cpu,
-                              via_aos.data_refs[i].cpu)
-                        << what << " data ref " << i;
-                }
-                for (int c = -1; c <= cpus; ++c)
-                    EXPECT_EQ(direct.cpuRange(c), via_aos.cpuRange(c))
-                        << what << " cpu " << c;
+                expectSoAEq(w.rep.resolveSoA(filter, data), via_aos,
+                            what);
+                for (std::size_t chunks : kChunkCounts)
+                    expectSoAEq(
+                        detail::resolveSoA(w.rep, filter, data, chunks),
+                        via_aos,
+                        what + " chunks " + std::to_string(chunks));
             }
         }
     }
+}
+
+/**
+ * Hand-built images for chunk-edge cases. App procedure: a 3-instr
+ * block falling through to a branch-only block whose unconditional
+ * branch targets the next block, so the baseline layout deletes the
+ * branch and the block has size 0; then a 4-instr return block.
+ * Kernel: one 2-instr block.
+ */
+struct EdgeImages
+{
+    Program app{"app"};
+    Program kern{"kern"};
+    core::Layout app_layout;
+    core::Layout kern_layout;
+
+    static constexpr std::uint32_t kBody = 0, kEmpty = 1, kTail = 2;
+
+    EdgeImages()
+        : app_layout(makeApp(app)), kern_layout(makeKern(kern))
+    {
+    }
+
+    static core::Layout
+    makeApp(Program& p)
+    {
+        ProcedureBuilder b("f");
+        auto body = b.addBlock(3, Terminator::FallThrough);
+        auto empty = b.addBlock(1, Terminator::UncondBranch);
+        auto tail = b.addBlock(4, Terminator::Return);
+        b.addEdge(body, empty, EdgeKind::FallThrough);
+        b.addEdge(empty, tail, EdgeKind::UncondTarget);
+        p.addProcedure(b.build());
+        EXPECT_EQ(p.validate(), "");
+        return core::baselineLayout(p, 0x1000);
+    }
+
+    static core::Layout
+    makeKern(Program& p)
+    {
+        ProcedureBuilder b("k");
+        b.addBlock(2, Terminator::Return);
+        p.addProcedure(b.build());
+        return core::baselineLayout(p, 0x400000);
+    }
+};
+
+/** Append one block event on `cpu`. */
+void
+block(trace::TraceBuffer& buf, int cpu, trace::ImageId image,
+      std::uint32_t id)
+{
+    trace::ExecContext ctx;
+    ctx.cpu = static_cast<std::uint8_t>(cpu);
+    buf.onBlock(ctx, image, id);
+}
+
+/** Resolve `buf` at every chunk count from 1 to past one event per
+ *  chunk, for every filter and include_data setting, against the
+ *  transpose-of-AoS oracle. */
+void
+expectEveryChunkingMatches(const trace::TraceBuffer& buf,
+                           const EdgeImages& img, const char* what)
+{
+    const Replayer rep(buf, img.app_layout, &img.kern_layout);
+    for (StreamFilter filter : kFilters)
+        for (bool data : {false, true}) {
+            const ResolvedTraceSoA want = toSoA(rep.resolve(filter, data));
+            for (std::size_t chunks = 1; chunks <= buf.size() + 2;
+                 ++chunks)
+                expectSoAEq(detail::resolveSoA(rep, filter, data, chunks),
+                            want,
+                            std::string(what) + " filter " +
+                                std::to_string(static_cast<int>(filter)) +
+                                (data ? " +data" : "") + " chunks " +
+                                std::to_string(chunks));
+        }
+}
+
+TEST(ReplayEngine, ChunkedResolveCarriesAKernelRunBreakIntoTheNextChunk)
+{
+    const EdgeImages img;
+    ASSERT_EQ(img.app_layout.blockSize(EdgeImages::kEmpty), 0u);
+    // Two chunks of two events: the kernel event ends chunk 0.
+    trace::TraceBuffer buf;
+    block(buf, 0, trace::ImageId::App, EdgeImages::kBody);
+    block(buf, 0, trace::ImageId::Kernel, 0);
+    block(buf, 0, trace::ImageId::App, EdgeImages::kTail);
+    block(buf, 0, trace::ImageId::App, EdgeImages::kBody);
+    const Replayer rep(buf, img.app_layout, &img.kern_layout);
+    const ResolvedTraceSoA soa =
+        detail::resolveSoA(rep, StreamFilter::AppOnly, false, 2);
+    ASSERT_EQ(soa.size(), 3u);
+    EXPECT_EQ(soa.flags[0], 0);
+    EXPECT_EQ(soa.flags[1], kRefRunBreak);
+    EXPECT_EQ(soa.flags[2], 0);
+    expectEveryChunkingMatches(buf, img, "kernel break at chunk end");
+}
+
+TEST(ReplayEngine, ChunkedResolveKeepsARunBreakAcrossAZeroSizeBlock)
+{
+    const EdgeImages img;
+    ASSERT_EQ(img.app_layout.blockSize(EdgeImages::kEmpty), 0u);
+    // Three chunks of two events. The zero-size block ends chunk 0 and
+    // starts chunk 1; neither emits a ref or clears the pending break.
+    trace::TraceBuffer buf;
+    block(buf, 0, trace::ImageId::Kernel, 0);
+    block(buf, 0, trace::ImageId::App, EdgeImages::kEmpty);
+    block(buf, 0, trace::ImageId::App, EdgeImages::kEmpty);
+    block(buf, 0, trace::ImageId::App, EdgeImages::kTail);
+    block(buf, 0, trace::ImageId::App, EdgeImages::kEmpty);
+    block(buf, 0, trace::ImageId::App, EdgeImages::kBody);
+    const Replayer rep(buf, img.app_layout, &img.kern_layout);
+    const ResolvedTraceSoA soa =
+        detail::resolveSoA(rep, StreamFilter::AppOnly, false, 3);
+    ASSERT_EQ(soa.size(), 2u);
+    EXPECT_EQ(soa.flags[0], kRefRunBreak);
+    EXPECT_EQ(soa.flags[1], 0);
+    EXPECT_EQ(soa.instr_events, 5u);
+    EXPECT_EQ(soa.instrs, 7u);
+    expectEveryChunkingMatches(buf, img, "zero-size block at chunk edge");
+}
+
+TEST(ReplayEngine, ChunkedResolveCarriesStateThroughAChunkWithoutTheCpu)
+{
+    const EdgeImages img;
+    // Three chunks of three events; chunk 1 holds no event of CPU 1,
+    // so the break CPU 1 takes in chunk 0 and its slice cursor must
+    // reach chunk 2 intact.
+    trace::TraceBuffer buf;
+    trace::ExecContext ctx;
+    block(buf, 1, trace::ImageId::App, EdgeImages::kBody);
+    block(buf, 1, trace::ImageId::Kernel, 0);
+    block(buf, 0, trace::ImageId::App, EdgeImages::kBody);
+    block(buf, 0, trace::ImageId::App, EdgeImages::kTail);
+    buf.onData(ctx, 0x8000);
+    block(buf, 0, trace::ImageId::App, EdgeImages::kBody);
+    block(buf, 1, trace::ImageId::App, EdgeImages::kTail);
+    block(buf, 0, trace::ImageId::Kernel, 0);
+    block(buf, 1, trace::ImageId::App, EdgeImages::kBody);
+    const Replayer rep(buf, img.app_layout, &img.kern_layout);
+    ASSERT_EQ(rep.numCpus(), 2);
+    const ResolvedTraceSoA soa =
+        detail::resolveSoA(rep, StreamFilter::AppOnly, false, 3);
+    ASSERT_EQ(soa.cpu_begin, (std::vector<std::size_t>{0, 3, 6}));
+    EXPECT_EQ(soa.flags[3], 0);            // CPU 1's first ref
+    EXPECT_EQ(soa.flags[4], kRefRunBreak); // after its kernel event
+    EXPECT_EQ(soa.flags[5], 0);
+    expectEveryChunkingMatches(buf, img, "chunk without a CPU");
+}
+
+TEST(ReplayEngineDeathTest, ResolveRejectsAnOutOfRangeBlockId)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const EdgeImages img;
+    trace::TraceBuffer buf;
+    for (int i = 0; i < 8; ++i)
+        block(buf, i % 2, trace::ImageId::App, EdgeImages::kBody);
+    block(buf, 1, trace::ImageId::App, img.app.numBlocks());
+    const Replayer rep(buf, img.app_layout, &img.kern_layout);
+    EXPECT_DEATH((void)rep.resolveSoA(StreamFilter::AppOnly),
+                 "block id out of range");
+    EXPECT_DEATH(
+        (void)detail::resolveSoA(rep, StreamFilter::Combined, true, 3),
+        "block id out of range");
 }
 
 TEST(ReplayEngine, MatchesSequenceOracleOnBothImages)

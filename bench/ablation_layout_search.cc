@@ -25,7 +25,6 @@
 
 #include "bench/common.hh"
 #include "opt/search.hh"
-#include "sim/sweep.hh"
 #include "support/panic.hh"
 
 using namespace spikesim;
@@ -144,38 +143,37 @@ main(int argc, char** argv)
               << support::withCommas(searched.regions.cold_bytes)
               << " bytes\n\n";
 
-    // Price all three binaries on the Figure-4 grid in one parallel
-    // sweep pass.
-    sim::SweepSpec spec;
+    // Price all three binaries on the Figure-4 grid, one fused i-cache
+    // column per binary.
+    std::vector<mem::CacheConfig> grid;
     for (std::uint32_t kb : kSizesKb)
-        spec.size_bytes.push_back(kb * 1024);
-    spec.line_bytes = kLines;
-    spec.assocs = {1};
-
-    std::vector<sim::SweepJob> jobs{
-        {&base, nullptr, sim::StreamFilter::AppOnly, spec, "base"},
-        {&greedy, nullptr, sim::StreamFilter::AppOnly, spec, "greedy"},
-        {&searched.layout, nullptr, sim::StreamFilter::AppOnly, spec,
-         "searched"},
+        for (std::uint32_t line : kLines)
+            grid.push_back({kb * 1024, line, 1});
+    auto price = [&](const core::Layout& layout) {
+        bench::BenchReplay rep(w, layout);
+        return rep.icacheColumn(grid, sim::StreamFilter::AppOnly);
     };
-    std::vector<sim::SweepResult> grid =
-        sim::runSweepJobs(w.buf, jobs, w.pool());
-    const sim::SweepResult& g_base = grid[0];
-    const sim::SweepResult& g_greedy = grid[1];
-    const sim::SweepResult& g_search = grid[2];
+    const std::vector<sim::ICacheReplayResult> col_base = price(base);
+    const std::vector<sim::ICacheReplayResult> col_greedy = price(greedy);
+    const std::vector<sim::ICacheReplayResult> col_search =
+        price(searched.layout);
+    auto misses = [&](const std::vector<sim::ICacheReplayResult>& col,
+                      std::uint32_t kb, std::uint32_t line) {
+        return bench::gridMisses(grid, col, kb * 1024, line, 1);
+    };
 
     std::cout << "app i-cache misses at 128B lines (direct-mapped):\n";
     support::TablePrinter table(
         {"cache", "base", "greedy All", "searched", "vs greedy"});
     for (std::uint32_t kb : kSizesKb) {
-        const std::uint64_t mg = g_greedy.misses(kb * 1024, 128, 1);
-        const std::uint64_t ms = g_search.misses(kb * 1024, 128, 1);
+        const std::uint64_t mg = misses(col_greedy, kb, 128);
+        const std::uint64_t ms = misses(col_search, kb, 128);
         const double delta =
             mg == 0 ? 0.0
                     : (static_cast<double>(ms) - static_cast<double>(mg)) /
                           static_cast<double>(mg);
         table.addRow({std::to_string(kb) + "KB",
-                      support::withCommas(g_base.misses(kb * 1024, 128, 1)),
+                      support::withCommas(misses(col_base, kb, 128)),
                       support::withCommas(mg), support::withCommas(ms),
                       support::percent(delta)});
     }
@@ -250,11 +248,10 @@ main(int argc, char** argv)
                 json << ",\n";
             first = false;
             json << "    {\"size_kb\": " << kb << ", \"line_b\": " << line
-                 << ", \"base\": " << g_base.misses(kb * 1024, line, 1)
-                 << ", \"greedy_all\": "
-                 << g_greedy.misses(kb * 1024, line, 1)
-                 << ", \"searched\": "
-                 << g_search.misses(kb * 1024, line, 1) << "}";
+                 << ", \"base\": " << misses(col_base, kb, line)
+                 << ", \"greedy_all\": " << misses(col_greedy, kb, line)
+                 << ", \"searched\": " << misses(col_search, kb, line)
+                 << "}";
         }
     json << "\n  ]\n}\n";
     json.close(); // flush before the manifest embeds it

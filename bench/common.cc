@@ -609,6 +609,22 @@ BenchReplay::dynamicInstrs(sim::StreamFilter filter)
     return resolved(filter, false).instrs;
 }
 
+std::uint64_t
+gridMisses(std::span<const mem::CacheConfig> grid,
+           std::span<const sim::ICacheReplayResult> column,
+           std::uint32_t size_bytes, std::uint32_t line_bytes,
+           std::uint32_t assoc)
+{
+    SPIKESIM_ASSERT(grid.size() == column.size(),
+                    "grid and column sizes differ");
+    for (std::size_t i = 0; i < grid.size(); ++i)
+        if (grid[i].size_bytes == size_bytes &&
+            grid[i].line_bytes == line_bytes && grid[i].assoc == assoc)
+            return column[i].misses;
+    SPIKESIM_PANIC("config " << size_bytes << "B/" << line_bytes << "B/"
+                             << assoc << "-way not in the grid");
+}
+
 void
 banner(const std::string& figure, const std::string& what)
 {

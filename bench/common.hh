@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -42,9 +43,9 @@
  *
  * Replay threading is shared across every bench the same way: the
  * `--threads N` flag (or the SPIKESIM_THREADS environment variable)
- * sizes one support::ThreadPool owned by the Workload, used by both the
- * sweep executor (sim/sweep.hh) and the parallel replay engine
- * (sim/engine.hh, via BenchReplay below). `--threads 0` disables the
+ * sizes one support::ThreadPool owned by the Workload, used by the
+ * parallel replay engine (sim/engine.hh, via BenchReplay below), which
+ * prices every figure's cache grid. `--threads 0` disables the
  * pool entirely and BenchReplay falls back to the scalar per-config
  * Replayer walks — the differential oracle path, so `--threads 0`
  * versus `--threads N` is a byte-identical A/B of every table. The
@@ -184,7 +185,7 @@ struct Workload
      *  Auto (SPIKESIM_SIMD, then calibration — sim/kernels.hh). */
     sim::SimdMode simd = sim::SimdMode::Auto;
     /** Shared worker pool, or null when threads == 0 (serial oracle
-     *  path). Sized once by runWorkload so sweep and replay share it. */
+     *  path). Sized once by runWorkload so every replay shares it. */
     std::unique_ptr<support::ThreadPool> worker_pool;
 
     support::ThreadPool* pool() const { return worker_pool.get(); }
@@ -351,6 +352,16 @@ class BenchReplay
     sim::SimdMode simd_ = sim::SimdMode::Auto;
     std::map<std::pair<int, bool>, sim::ResolvedTraceSoA> resolved_;
 };
+
+/**
+ * Misses of the (size, line, assoc) configuration in a column that
+ * BenchReplay::icacheColumn priced over `grid`: the cell lookup of the
+ * Figure 4-7 style tables. Panics when the grid lacks the config.
+ */
+std::uint64_t gridMisses(std::span<const mem::CacheConfig> grid,
+                         std::span<const sim::ICacheReplayResult> column,
+                         std::uint32_t size_bytes, std::uint32_t line_bytes,
+                         std::uint32_t assoc);
 
 /**
  * Run the standard workload: build the system, load the database, warm

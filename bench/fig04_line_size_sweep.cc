@@ -5,14 +5,13 @@
  * baseline (a) and fully optimized (b) binaries. Also reports the
  * paper's packed-footprint comparison (500KB vs 315KB at 128B lines).
  *
- * Both 25-configuration sweeps are priced by the single-pass
- * stack-distance engine (one trace resolution + one pass per line size
- * per binary) and run concurrently on a thread pool.
+ * Each binary's 25 configurations are priced as one i-cache column: one
+ * trace resolution and one fused replay sharded across the thread pool
+ * (or, with `--threads 0`, one scalar oracle walk per configuration).
  */
 
 #include "bench/common.hh"
 #include "metrics/footprint.hh"
-#include "sim/sweep.hh"
 
 using namespace spikesim;
 
@@ -22,8 +21,17 @@ const std::vector<std::uint32_t> kSizesKb{32, 64, 128, 256, 512};
 const std::vector<std::uint32_t> kLines{16, 32, 64, 128, 256};
 
 void
-printSweep(const sim::SweepResult& result, const std::string& title)
+printSweep(const bench::Workload& w, const core::Layout& layout,
+           const std::string& title)
 {
+    std::vector<mem::CacheConfig> grid;
+    for (std::uint32_t kb : kSizesKb)
+        for (std::uint32_t line : kLines)
+            grid.push_back({kb * 1024, line, 1});
+    bench::BenchReplay rep(w, layout);
+    const std::vector<sim::ICacheReplayResult> column =
+        rep.icacheColumn(grid, sim::StreamFilter::AppOnly);
+
     std::cout << title << "\n";
     support::TablePrinter table(
         {"cache", "16B", "32B", "64B", "128B", "256B"});
@@ -31,7 +39,7 @@ printSweep(const sim::SweepResult& result, const std::string& title)
         std::vector<std::string> row{std::to_string(kb) + "KB"};
         for (std::uint32_t line : kLines)
             row.push_back(support::withCommas(
-                result.misses(kb * 1024, line, 1)));
+                bench::gridMisses(grid, column, kb * 1024, line, 1)));
         table.addRow(row);
     }
     table.print(std::cout);
@@ -50,21 +58,8 @@ main(int argc, char** argv)
     core::Layout base = w.appLayout(core::OptCombo::Base);
     core::Layout opt = w.appLayout(core::OptCombo::All);
 
-    sim::SweepSpec spec;
-    for (std::uint32_t kb : kSizesKb)
-        spec.size_bytes.push_back(kb * 1024);
-    spec.line_bytes = kLines;
-    spec.assocs = {1};
-
-    std::vector<sim::SweepJob> jobs{
-        {&base, nullptr, sim::StreamFilter::AppOnly, spec, "base"},
-        {&opt, nullptr, sim::StreamFilter::AppOnly, spec, "opt"},
-    };
-    std::vector<sim::SweepResult> results =
-        sim::runSweepJobs(w.buf, jobs, w.pool());
-
-    printSweep(results[0], "(a) baseline OLTP binary");
-    printSweep(results[1], "(b) optimized OLTP binary");
+    printSweep(w, base, "(a) baseline OLTP binary");
+    printSweep(w, opt, "(b) optimized OLTP binary");
 
     std::uint64_t base_fp =
         metrics::packedFootprintBytes(w.appProfile(), base, 128);

@@ -1,13 +1,11 @@
 /**
  * @file
  * Figure 5: instruction cache misses of the optimized binary relative
- * to the baseline (percent), across cache sizes and line sizes. Both
- * binaries' sweeps run through the single-pass sweep engine in
- * parallel.
+ * to the baseline (percent), across cache sizes and line sizes. Each
+ * binary's 25 configurations are priced as one i-cache column.
  */
 
 #include "bench/common.hh"
-#include "sim/sweep.hh"
 
 using namespace spikesim;
 
@@ -20,29 +18,29 @@ main(int argc, char** argv)
     core::Layout base = w.appLayout(core::OptCombo::Base);
     core::Layout opt = w.appLayout(core::OptCombo::All);
 
-    sim::SweepSpec spec;
-    for (std::uint32_t kb : {32, 64, 128, 256, 512})
-        spec.size_bytes.push_back(kb * 1024);
-    spec.line_bytes = {16, 32, 64, 128, 256};
-    spec.assocs = {1};
-
-    std::vector<sim::SweepJob> jobs{
-        {&base, nullptr, sim::StreamFilter::AppOnly, spec, "base"},
-        {&opt, nullptr, sim::StreamFilter::AppOnly, spec, "opt"},
+    const std::vector<std::uint32_t> sizes{32 * 1024, 64 * 1024,
+                                           128 * 1024, 256 * 1024,
+                                           512 * 1024};
+    const std::vector<std::uint32_t> lines{16, 32, 64, 128, 256};
+    std::vector<mem::CacheConfig> grid;
+    for (std::uint32_t size : sizes)
+        for (std::uint32_t line : lines)
+            grid.push_back({size, line, 1});
+    auto price = [&](const core::Layout& layout) {
+        bench::BenchReplay rep(w, layout);
+        return rep.icacheColumn(grid, sim::StreamFilter::AppOnly);
     };
-    std::vector<sim::SweepResult> results =
-        sim::runSweepJobs(w.buf, jobs, w.pool());
-    const sim::SweepResult& b = results[0];
-    const sim::SweepResult& o = results[1];
+    const std::vector<sim::ICacheReplayResult> b = price(base);
+    const std::vector<sim::ICacheReplayResult> o = price(opt);
 
     support::TablePrinter table(
         {"cache", "16B", "32B", "64B", "128B", "256B"});
     double at64_128 = 0, at128_128 = 0;
-    for (std::uint32_t kb : spec.size_bytes) {
+    for (std::uint32_t kb : sizes) {
         std::vector<std::string> row{std::to_string(kb / 1024) + "KB"};
-        for (std::uint32_t line : spec.line_bytes) {
-            std::uint64_t bm = b.misses(kb, line, 1);
-            std::uint64_t om = o.misses(kb, line, 1);
+        for (std::uint32_t line : lines) {
+            std::uint64_t bm = bench::gridMisses(grid, b, kb, line, 1);
+            std::uint64_t om = bench::gridMisses(grid, o, kb, line, 1);
             double rel = bm == 0 ? 100.0
                                  : 100.0 * static_cast<double>(om) /
                                        static_cast<double>(bm);

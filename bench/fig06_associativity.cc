@@ -2,12 +2,11 @@
  * @file
  * Figure 6: impact of associativity (direct-mapped vs 4-way) on
  * instruction cache misses for the baseline and optimized binaries,
- * 128-byte lines. One stack-distance pass per binary prices both
+ * 128-byte lines. One fused i-cache column per binary prices both
  * associativities at every size.
  */
 
 #include "bench/common.hh"
-#include "sim/sweep.hh"
 
 using namespace spikesim;
 
@@ -20,29 +19,28 @@ main(int argc, char** argv)
     core::Layout base = w.appLayout(core::OptCombo::Base);
     core::Layout opt = w.appLayout(core::OptCombo::All);
 
-    sim::SweepSpec spec;
-    for (std::uint32_t kb : {32, 64, 128, 256, 512})
-        spec.size_bytes.push_back(kb * 1024);
-    spec.line_bytes = {128};
-    spec.assocs = {1, 4};
-
-    std::vector<sim::SweepJob> jobs{
-        {&base, nullptr, sim::StreamFilter::AppOnly, spec, "base"},
-        {&opt, nullptr, sim::StreamFilter::AppOnly, spec, "opt"},
+    const std::vector<std::uint32_t> sizes{32 * 1024, 64 * 1024,
+                                           128 * 1024, 256 * 1024,
+                                           512 * 1024};
+    std::vector<mem::CacheConfig> grid;
+    for (std::uint32_t size : sizes)
+        for (std::uint32_t assoc : {1, 4})
+            grid.push_back({size, 128, assoc});
+    auto price = [&](const core::Layout& layout) {
+        bench::BenchReplay rep(w, layout);
+        return rep.icacheColumn(grid, sim::StreamFilter::AppOnly);
     };
-    std::vector<sim::SweepResult> results =
-        sim::runSweepJobs(w.buf, jobs, w.pool());
-    const sim::SweepResult& b = results[0];
-    const sim::SweepResult& o = results[1];
+    const std::vector<sim::ICacheReplayResult> b = price(base);
+    const std::vector<sim::ICacheReplayResult> o = price(opt);
 
     support::TablePrinter table({"cache", "baseline", "baseline 4-way",
                                  "optimized", "optimized 4-way"});
     double assoc_gain_64 = 0, layout_gain_64 = 0;
-    for (std::uint32_t kb : spec.size_bytes) {
-        std::uint64_t b1 = b.misses(kb, 128, 1);
-        std::uint64_t b4 = b.misses(kb, 128, 4);
-        std::uint64_t o1 = o.misses(kb, 128, 1);
-        std::uint64_t o4 = o.misses(kb, 128, 4);
+    for (std::uint32_t kb : sizes) {
+        std::uint64_t b1 = bench::gridMisses(grid, b, kb, 128, 1);
+        std::uint64_t b4 = bench::gridMisses(grid, b, kb, 128, 4);
+        std::uint64_t o1 = bench::gridMisses(grid, o, kb, 128, 1);
+        std::uint64_t o4 = bench::gridMisses(grid, o, kb, 128, 4);
         if (kb == 64 * 1024) {
             assoc_gain_64 = 1.0 - static_cast<double>(b4) /
                                       static_cast<double>(b1);

@@ -5,13 +5,12 @@
  * application instruction cache misses (128B lines, 4-way). The two
  * ablations the repository adds (classic hot/cold splitting and the
  * CFA layout the paper evaluated and rejected) are reported as well.
- * Every combination's sweep is an independent job on the thread pool.
+ * Each combination's five sizes are priced as one fused i-cache column.
  */
 
 #include <map>
 
 #include "bench/common.hh"
-#include "sim/sweep.hh"
 
 using namespace spikesim;
 
@@ -22,27 +21,22 @@ main(int argc, char** argv)
                   "impact of each optimization combination (128B/4-way)");
     bench::Workload w = bench::runWorkload(argc, argv);
 
-    sim::SweepSpec spec;
-    for (std::uint32_t kb : {32, 64, 128, 256, 512})
-        spec.size_bytes.push_back(kb * 1024);
-    spec.line_bytes = {128};
-    spec.assocs = {4};
+    const std::vector<std::uint32_t> sizes{32 * 1024, 64 * 1024,
+                                           128 * 1024, 256 * 1024,
+                                           512 * 1024};
+    std::vector<mem::CacheConfig> grid;
+    for (std::uint32_t size : sizes)
+        grid.push_back({size, 128, 4});
 
-    // Build every combination's layout up front (jobs hold pointers).
     std::vector<core::OptCombo> combos = core::allCombos();
-    std::vector<core::Layout> layouts;
-    layouts.reserve(combos.size());
-    for (core::OptCombo combo : combos)
-        layouts.push_back(w.appLayout(combo));
-
-    std::vector<sim::SweepJob> jobs;
-    jobs.reserve(combos.size());
-    for (std::size_t i = 0; i < combos.size(); ++i)
-        jobs.push_back({&layouts[i], nullptr,
-                        sim::StreamFilter::AppOnly, spec,
-                        core::comboName(combos[i])});
-    std::vector<sim::SweepResult> results =
-        sim::runSweepJobs(w.buf, jobs, w.pool());
+    std::vector<std::vector<sim::ICacheReplayResult>> results;
+    results.reserve(combos.size());
+    for (core::OptCombo combo : combos) {
+        const core::Layout layout = w.appLayout(combo);
+        bench::BenchReplay rep(w, layout);
+        results.push_back(
+            rep.icacheColumn(grid, sim::StreamFilter::AppOnly));
+    }
 
     // Key the summary picks on combo *names*, not enum positions, so
     // the table and the paper-comparison lines below survive combos
@@ -52,8 +46,9 @@ main(int argc, char** argv)
     std::map<std::string, std::uint64_t> misses64;
     for (std::size_t i = 0; i < combos.size(); ++i) {
         std::vector<std::string> row{core::comboName(combos[i])};
-        for (std::uint32_t kb : spec.size_bytes) {
-            std::uint64_t misses = results[i].misses(kb, 128, 4);
+        for (std::uint32_t kb : sizes) {
+            std::uint64_t misses =
+                bench::gridMisses(grid, results[i], kb, 128, 4);
             if (kb == 64 * 1024)
                 misses64[core::comboName(combos[i])] = misses;
             row.push_back(support::withCommas(misses));

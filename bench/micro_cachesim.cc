@@ -4,11 +4,12 @@
  * (the inner loops of every figure sweep).
  *
  * Before the google-benchmark suite runs, a headline comparison prices
- * the Figure 4 sweep (25 direct-mapped configurations: 5 cache sizes x
- * 5 line sizes) three ways -- per-config replay, single-pass
- * stack-distance sweep, and the parallel sweep executor -- verifies
- * the miss counts are bit-identical, and writes the numbers to
- * BENCH_cachesim.json so the perf trajectory is tracked across PRs.
+ * the Figure 4 grid (25 direct-mapped configurations: 5 cache sizes x
+ * 5 line sizes) three ways -- one scalar oracle walk per
+ * configuration, one fused SoA i-cache column without a pool, and the
+ * same column sharded across a thread pool -- verifies the miss
+ * counts are bit-identical (exit 1 otherwise), and writes the numbers
+ * to BENCH_cachesim.json so the perf trajectory is tracked.
  */
 
 #include <benchmark/benchmark.h>
@@ -20,7 +21,6 @@
 #include "bench/common.hh"
 #include "core/pipeline.hh"
 #include "mem/cache.hh"
-#include "sim/sweep.hh"
 #include "support/rng.hh"
 #include "support/threadpool.hh"
 #include "synth/synthprog.hh"
@@ -72,15 +72,15 @@ layoutFor(core::OptCombo combo)
     return core::buildLayout(shared().image.prog, shared().prof, opts);
 }
 
-sim::SweepSpec
-fig04Spec()
+/** The paper's Figure 4 grid: 25 direct-mapped configurations. */
+std::vector<mem::CacheConfig>
+fig04Grid()
 {
-    sim::SweepSpec spec;
+    std::vector<mem::CacheConfig> grid;
     for (std::uint32_t kb : {32, 64, 128, 256, 512})
-        spec.size_bytes.push_back(kb * 1024);
-    spec.line_bytes = {16, 32, 64, 128, 256};
-    spec.assocs = {1};
-    return spec;
+        for (std::uint32_t line : {16, 32, 64, 128, 256})
+            grid.push_back({kb * 1024, line, 1});
+    return grid;
 }
 
 double
@@ -91,102 +91,83 @@ seconds(std::chrono::steady_clock::time_point t0,
 }
 
 /**
- * Headline comparison: per-config replay vs single-pass sweep vs the
- * parallel executor on the 25-configuration Figure 4 sweep, with a
- * differential check that the sweep reproduces the per-config miss
- * counts exactly. Writes BENCH_cachesim.json.
+ * Headline comparison: per-config oracle vs SoA column (serial) vs SoA
+ * column (pooled) on the 25-configuration Figure 4 grid, with a
+ * differential check that both columns reproduce the oracle's miss and
+ * access counts exactly. The column timings include the resolve.
+ * Writes BENCH_cachesim.json.
  */
 void
-runSweepComparison()
+runGridComparison()
 {
     using clock = std::chrono::steady_clock;
     Shared& s = shared();
     core::Layout base = layoutFor(core::OptCombo::Base);
-    core::Layout opt = layoutFor(core::OptCombo::All);
-    sim::SweepSpec spec = fig04Spec();
+    const std::vector<mem::CacheConfig> grid = fig04Grid();
+    const sim::StreamFilter filter = sim::StreamFilter::AppOnly;
     sim::Replayer rep(s.buf, base);
+    // Kernel calibration (SimdMode::Auto) runs once, outside the timing.
+    const sim::KernelChoice choice = sim::resolveKernel(sim::SimdMode::Auto);
 
     // Per-config path: one full trace replay per configuration.
     auto t0 = clock::now();
-    std::vector<std::uint64_t> per_config_misses;
-    std::uint64_t line_accesses = 0;
-    per_config_misses.reserve(spec.numConfigs());
-    for (std::uint32_t size : spec.size_bytes) {
-        for (std::uint32_t line : spec.line_bytes) {
-            auto r = rep.icache({size, line, 1},
-                                sim::StreamFilter::AppOnly);
-            per_config_misses.push_back(r.misses);
-            line_accesses += r.accesses;
-        }
-    }
+    std::vector<sim::ICacheReplayResult> oracle;
+    oracle.reserve(grid.size());
+    for (const mem::CacheConfig& config : grid)
+        oracle.push_back(rep.icache(config, filter));
     auto t1 = clock::now();
 
-    // Single-pass path: one resolution, one pass per line size.
-    sim::SweepResult sweep =
-        rep.icacheSweep(spec, sim::StreamFilter::AppOnly);
+    // One resolve, one fused column walk, no pool.
+    const std::vector<sim::ICacheReplayResult> serial = sim::replayICache(
+        rep.resolveSoA(filter), grid, sim::SimdMode::Auto, nullptr);
     auto t2 = clock::now();
 
-    // Differential check: the sweep must be bit-identical.
-    std::size_t i = 0;
+    // The same column sharded across a thread pool.
+    support::ThreadPool pool;
+    auto t3 = clock::now();
+    const std::vector<sim::ICacheReplayResult> pooled = sim::replayICache(
+        rep.resolveSoA(filter), grid, sim::SimdMode::Auto, &pool);
+    auto t4 = clock::now();
+
+    std::uint64_t line_accesses = 0;
     std::uint64_t mismatches = 0;
-    for (std::uint32_t size : spec.size_bytes)
-        for (std::uint32_t line : spec.line_bytes)
-            if (sweep.misses(size, line, 1) != per_config_misses[i++])
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        line_accesses += oracle[i].accesses;
+        for (const auto* col : {&serial, &pooled})
+            if ((*col)[i].misses != oracle[i].misses ||
+                (*col)[i].accesses != oracle[i].accesses)
                 ++mismatches;
+    }
     if (mismatches != 0) {
-        std::cerr << "FATAL: sweep engine diverged from per-config "
+        std::cerr << "FATAL: SoA i-cache column diverged from per-config "
                      "replay on "
-                  << mismatches << "/" << spec.numConfigs()
-                  << " configurations\n";
+                  << mismatches << " of " << 2 * grid.size()
+                  << " (column, configuration) cells\n";
         std::exit(1);
     }
 
-    // Parallel executor: the same work for two binaries (base + opt),
-    // serial vs thread pool.
-    std::vector<sim::SweepJob> jobs{
-        {&base, nullptr, sim::StreamFilter::AppOnly, spec, "base"},
-        {&opt, nullptr, sim::StreamFilter::AppOnly, spec, "opt"},
-    };
-    auto t3 = clock::now();
-    auto serial_results = sim::runSweepJobs(s.buf, jobs, nullptr);
-    auto t4 = clock::now();
-    support::ThreadPool pool;
-    auto parallel_results = sim::runSweepJobs(s.buf, jobs, &pool);
-    auto t5 = clock::now();
-    for (std::size_t j = 0; j < jobs.size(); ++j)
-        for (std::uint32_t size : spec.size_bytes)
-            for (std::uint32_t line : spec.line_bytes)
-                if (serial_results[j].misses(size, line, 1) !=
-                    parallel_results[j].misses(size, line, 1)) {
-                    std::cerr << "FATAL: parallel executor diverged "
-                                 "from serial sweep\n";
-                    std::exit(1);
-                }
-
     const double per_config_s = seconds(t0, t1);
-    const double sweep_s = seconds(t1, t2);
-    const double serial_jobs_s = seconds(t3, t4);
-    const double parallel_jobs_s = seconds(t4, t5);
-    const double speedup = per_config_s / sweep_s;
-    const double parallel_speedup = serial_jobs_s / parallel_jobs_s;
+    const double serial_s = seconds(t1, t2);
+    const double pooled_s = seconds(t3, t4);
+    const double speedup = per_config_s / serial_s;
+    const double parallel_speedup = serial_s / pooled_s;
     const double per_config_eps =
         static_cast<double>(line_accesses) / per_config_s;
-    const double sweep_eps =
-        static_cast<double>(line_accesses) / sweep_s;
+    const double serial_eps = static_cast<double>(line_accesses) / serial_s;
 
-    std::cout << "=== single-pass sweep engine vs per-config replay "
-                 "===\n"
+    std::cout << "=== SoA i-cache column vs per-config replay ===\n"
               << "trace events:        " << s.buf.size() << "\n"
-              << "configurations:      " << spec.numConfigs()
+              << "configurations:      " << grid.size()
               << " (direct-mapped, fig04 grid)\n"
+              << "simd kernel:         " << sim::kernelName(choice.kind)
+              << "\n"
               << "line accesses:       " << line_accesses << "\n"
               << "per-config replay:   " << per_config_s << " s ("
               << per_config_eps << " accesses/s)\n"
-              << "single-pass sweep:   " << sweep_s << " s ("
-              << sweep_eps << " accesses/s)\n"
+              << "column, serial:      " << serial_s << " s ("
+              << serial_eps << " accesses/s)\n"
               << "speedup:             " << speedup << "x\n"
-              << "2-binary jobs serial:   " << serial_jobs_s << " s\n"
-              << "2-binary jobs parallel: " << parallel_jobs_s << " s ("
+              << "column, pooled:      " << pooled_s << " s ("
               << pool.numThreads() << " threads)\n"
               << "parallel speedup:    " << parallel_speedup << "x\n"
               << "differential check:  PASS (miss counts "
@@ -196,16 +177,18 @@ runSweepComparison()
     json << "{\n"
          << "  \"bench\": \"cachesim\",\n"
          << "  \"trace_events\": " << s.buf.size() << ",\n"
-         << "  \"configs\": " << spec.numConfigs() << ",\n"
+         << "  \"configs\": " << grid.size() << ",\n"
+         << "  \"simd_kernel\": \"" << sim::kernelName(choice.kind)
+         << "\",\n"
          << "  \"line_accesses\": " << line_accesses << ",\n"
          << "  \"per_config_seconds\": " << per_config_s << ",\n"
          << "  \"per_config_accesses_per_sec\": " << per_config_eps
          << ",\n"
-         << "  \"sweep_seconds\": " << sweep_s << ",\n"
-         << "  \"sweep_accesses_per_sec\": " << sweep_eps << ",\n"
-         << "  \"sweep_speedup\": " << speedup << ",\n"
-         << "  \"jobs_serial_seconds\": " << serial_jobs_s << ",\n"
-         << "  \"jobs_parallel_seconds\": " << parallel_jobs_s << ",\n"
+         << "  \"column_serial_seconds\": " << serial_s << ",\n"
+         << "  \"column_serial_accesses_per_sec\": " << serial_eps
+         << ",\n"
+         << "  \"column_serial_speedup\": " << speedup << ",\n"
+         << "  \"column_parallel_seconds\": " << pooled_s << ",\n"
          << "  \"parallel_threads\": " << pool.numThreads() << ",\n"
          << "  \"parallel_speedup\": " << parallel_speedup << ",\n"
          << "  \"differential_ok\": true\n"
@@ -247,24 +230,6 @@ BM_LineGranularReplay(benchmark::State& state)
         static_cast<std::int64_t>(s.buf.size()));
 }
 BENCHMARK(BM_LineGranularReplay)->Unit(benchmark::kMillisecond);
-
-void
-BM_SinglePassSweep(benchmark::State& state)
-{
-    Shared& s = shared();
-    core::Layout layout = layoutFor(core::OptCombo::Base);
-    sim::Replayer rep(s.buf, layout);
-    sim::SweepSpec spec = fig04Spec();
-    for (auto _ : state) {
-        auto r = rep.icacheSweep(spec, sim::StreamFilter::AppOnly);
-        benchmark::DoNotOptimize(r.misses(64 * 1024, 128, 1));
-    }
-    // Items = configuration-evaluations (25 per pass).
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(spec.numConfigs()));
-}
-BENCHMARK(BM_SinglePassSweep)->Unit(benchmark::kMillisecond);
 
 void
 BM_WordGranularReplay(benchmark::State& state)
@@ -321,7 +286,7 @@ main(int argc, char** argv)
     // environment (SPIKESIM_TRACE_OUT / SPIKESIM_MANIFEST_OUT /
     // SPIKESIM_PROGRESS).
     bench::ObsRun obs(bench::obsOptionsFromEnv(), argc, argv);
-    runSweepComparison();
+    runGridComparison();
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     obs.addArtifactFile("BENCH_cachesim.json");

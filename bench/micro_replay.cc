@@ -10,10 +10,10 @@
  * instruction count — several ways:
  *
  *   per-config oracle   one scalar Replayer walk per configuration
- *   serial fused        resolve once, AoS engine, no thread pool
- *   parallel fused      resolve once, AoS engine sharded across a pool
- *   soa scalar          direct SoA resolve, scalar kernels forced
- *   soa avx2 / avx512   same, the vector kernels (when runnable here)
+ *   soa scalar          resolve once, scalar kernels forced, no pool
+ *   soa parallel        same, sharded across a thread pool
+ *   soa avx2 / avx512   soa scalar with the vector kernels (when
+ *                       runnable here)
  *
  * All paths must produce bit-identical results (the process exits
  * non-zero on any divergence, which is what the ctest smokes check —
@@ -27,15 +27,15 @@
  *
  * Timed phases, all in BENCH_replay.json:
  *
- *  - resolve_direct vs resolve_transpose: Replayer::resolveSoA
- *    against the PR 6 route (resolve to AoS, then sim::toSoA).
  *  - per-family kernel rows: the three-C, iTLB, and stream-buffer
  *    column replays under each runnable kernel, next to the i-cache
  *    column (the iTLB kernel is FA-LRU-bound, so its rows measure
  *    the grouped flat walk, not vector width).
  *  - the fig04 grid: the paper's 25-configuration direct-mapped
- *    sweep ({32..512}KB x {16..256}B), single-threaded, through the
- *    AoS engine and every runnable SoA kernel.
+ *    grid ({32..512}KB x {16..256}B), single-threaded, through the
+ *    per-config oracle and every runnable kernel; the scalar kernel's
+ *    speedup is relative to the oracle, each vector kernel's to the
+ *    scalar kernel.
  *
  * Usage: micro_replay [profile_txns] [trace_txns] [--simd 0|1|2]
  *                     [--skip-unsupported-simd] [--results-out FILE]
@@ -131,8 +131,8 @@ struct SuiteResults
 /** How runSuite reaches the simulators. */
 enum class SuitePath {
     Oracle,   ///< one scalar Replayer walk per configuration
-    FusedAoS, ///< PR 3 engine over the AoS resolved trace
-    FusedSoA, ///< direct SoA resolve; `mode` picks the kernels
+    FusedSoA, ///< resolve once, fused column replays; `mode` picks
+              ///< the kernels
 };
 
 double
@@ -175,23 +175,6 @@ runSuite(const sim::Replayer& rep, SuitePath path, sim::SimdMode mode,
                                          trace::ImageId::App);
         r.dyn_instrs = rep.dynamicInstrs(filter);
         r.replay_seconds = seconds(t0, clock::now());
-    } else if (path == SuitePath::FusedAoS) {
-        sim::ResolvedTrace instr = rep.resolve(filter);
-        sim::ResolvedTrace with_data = rep.resolve(filter, true);
-        sim::ResolvedTrace app_only =
-            rep.resolve(sim::StreamFilter::AppOnly);
-        const auto t1 = clock::now();
-        r.resolve_seconds = seconds(t0, t1);
-        r.icache = sim::replayICache(instr, icfg, pool);
-        r.threec = sim::replayThreeCs(instr, tcfg, pool);
-        r.sbuf = sim::replayStreamBuffer(instr, scfg, kStreamBuffers,
-                                         pool);
-        r.words = sim::replayInstrumented(instr, wcfg, false, pool);
-        r.itlb = sim::replayITlb(instr, specs, pool);
-        r.hier = sim::replayHierarchy(with_data, hcfg, true, pool);
-        r.seq = sim::replaySequence(app_only, pool);
-        r.dyn_instrs = instr.instrs;
-        r.replay_seconds = seconds(t1, clock::now());
     } else {
         sim::ResolvedTraceSoA instr = rep.resolveSoA(filter);
         sim::ResolvedTraceSoA with_data = rep.resolveSoA(filter, true);
@@ -470,8 +453,8 @@ main(int argc, char** argv)
 {
     bench::ObsRun obs(bench::obsOptionsFromEnv(), argc, argv);
     bench::banner("Replay engine microbenchmark",
-                  "per-config oracle vs fused AoS vs SoA kernels "
-                  "(bit-identical)");
+                  "per-config oracle vs SoA kernels, serial and "
+                  "pooled (bit-identical)");
 
     std::uint64_t positional[2] = {400, 300};
     int n_positional = 0;
@@ -568,17 +551,14 @@ main(int argc, char** argv)
               << " (" << choice.reason << "); replaying...\n";
     SuiteResults oracle =
         runSuite(rep, SuitePath::Oracle, simd_mode, nullptr);
-    SuiteResults fused =
-        runSuite(rep, SuitePath::FusedAoS, simd_mode, nullptr);
-    SuiteResults parallel =
-        runSuite(rep, SuitePath::FusedAoS, simd_mode, &pool);
     SuiteResults soa_scalar =
         runSuite(rep, SuitePath::FusedSoA, sim::SimdMode::Scalar,
                  nullptr);
+    SuiteResults parallel =
+        runSuite(rep, SuitePath::FusedSoA, sim::SimdMode::Scalar, &pool);
 
-    compareSuites(oracle, fused, "oracle vs serial fused");
-    compareSuites(oracle, parallel, "oracle vs parallel fused");
     compareSuites(oracle, soa_scalar, "oracle vs soa scalar");
+    compareSuites(oracle, parallel, "oracle vs soa parallel");
 
     // Which vector kernels get their own comparison rows: --simd 0
     // means a fully scalar run (what bench_micro_replay_scalar_smoke
@@ -605,31 +585,33 @@ main(int argc, char** argv)
         compareSuites(oracle, soa_vec[v], label.c_str());
     }
 
-    // Resolve-phase A/B: the direct column resolve against the PR 6
-    // route (AoS resolve, then transpose). Same filter, same output.
-    const auto filter = sim::StreamFilter::Combined;
-    const double resolve_direct_s =
-        bestOf([&] { (void)rep.resolveSoA(filter); });
-    const double resolve_transpose_s =
-        bestOf([&] { (void)sim::toSoA(rep.resolve(filter)); });
-    const double resolve_speedup =
-        resolve_transpose_s / resolve_direct_s;
-
     // Headline: the paper's 25-config direct-mapped grid (Figure 4),
     // single-threaded, resolve excluded — this isolates the replay
-    // kernels themselves. PR 3's AoS engine is the baseline the SoA
-    // kernels are measured against.
+    // kernels themselves. The scalar kernel is measured against one
+    // timed pass of per-config oracle walks, each vector kernel against
+    // the scalar kernel, and every row is bit-compared to the oracle.
+    const auto filter = sim::StreamFilter::Combined;
     const auto grid = fig04Grid();
-    const sim::ResolvedTrace grid_trace = rep.resolve(filter);
+    std::vector<sim::ICacheReplayResult> grid_oracle;
+    const auto t_oracle = std::chrono::steady_clock::now();
+    for (const mem::CacheConfig& config : grid)
+        grid_oracle.push_back(rep.icache(config, filter));
+    const double grid_oracle_s =
+        seconds(t_oracle, std::chrono::steady_clock::now());
     const sim::ResolvedTraceSoA grid_soa = rep.resolveSoA(filter);
-    std::vector<sim::ICacheReplayResult> grid_aos, grid_scalar;
-    const double grid_aos_s = bestOf([&] {
-        grid_aos = sim::replayICache(grid_trace, grid, nullptr);
-    });
+    std::vector<sim::ICacheReplayResult> grid_scalar;
     const double grid_scalar_s = bestOf([&] {
         grid_scalar = sim::replayICache(grid_soa, grid,
                                         sim::SimdMode::Scalar, nullptr);
     });
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        if (!sameICache(grid_oracle[i], grid_scalar[i])) {
+            std::cerr << "[micro_replay] FAIL: fig04 grid config " << i
+                      << " diverges from the oracle under scalar\n";
+            return 1;
+        }
+    }
+    const double grid_scalar_speedup = grid_oracle_s / grid_scalar_s;
     std::vector<double> grid_vec_s(vec_kinds.size(), 0.0);
     for (std::size_t v = 0; v < vec_kinds.size(); ++v) {
         std::vector<sim::ICacheReplayResult> grid_vec;
@@ -638,7 +620,7 @@ main(int argc, char** argv)
                                          modeFor(vec_kinds[v]), nullptr);
         });
         for (std::size_t i = 0; i < grid.size(); ++i) {
-            if (!sameICache(grid_aos[i], grid_vec[i])) {
+            if (!sameICache(grid_oracle[i], grid_vec[i])) {
                 std::cerr << "[micro_replay] FAIL: fig04 grid config "
                           << i << " diverges under "
                           << sim::kernelName(vec_kinds[v]) << "\n";
@@ -646,14 +628,6 @@ main(int argc, char** argv)
             }
         }
     }
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-        if (!sameICache(grid_aos[i], grid_scalar[i])) {
-            std::cerr << "[micro_replay] FAIL: fig04 grid config " << i
-                      << " diverges across kernels\n";
-            return 1;
-        }
-    }
-    const double grid_scalar_speedup = grid_aos_s / grid_scalar_s;
 
     // Per-family column timings under each kernel, over the same SoA
     // trace: where each family's vector port pays (or, for the
@@ -683,8 +657,8 @@ main(int argc, char** argv)
         });
     }
 
-    double fused_speedup = oracle.seconds / fused.seconds;
-    double parallel_speedup = fused.seconds / parallel.seconds;
+    double soa_speedup = oracle.seconds / soa_scalar.seconds;
+    double parallel_speedup = soa_scalar.seconds / parallel.seconds;
     double end_to_end = oracle.seconds / parallel.seconds;
 
     auto phase_row = [](const std::string& name,
@@ -698,29 +672,25 @@ main(int argc, char** argv)
               << "simd kernel:         " << kernel_name << " ("
               << choice.reason << ")\n"
               << "per-config oracle:   " << oracle.seconds << " s\n";
-    phase_row("serial fused (aos):  ", fused);
-    std::cout << "parallel fused(aos): " << parallel.seconds << " s ("
-              << pool.numThreads() << " threads)\n";
     phase_row("soa scalar:          ", soa_scalar);
+    std::cout << "soa parallel:        " << parallel.seconds << " s ("
+              << pool.numThreads() << " threads)\n";
     for (std::size_t v = 0; v < vec_kinds.size(); ++v) {
         std::string name =
             std::string("soa ") + sim::kernelName(vec_kinds[v]) + ":";
         name.resize(21, ' ');
         phase_row(name, soa_vec[v]);
     }
-    std::cout << "fused speedup:       " << fused_speedup << "x\n"
+    std::cout << "soa speedup:         " << soa_speedup << "x\n"
               << "parallel speedup:    " << parallel_speedup << "x\n"
               << "end-to-end speedup:  " << end_to_end << "x\n"
-              << "resolve phase:       direct " << resolve_direct_s
-              << " s vs transpose " << resolve_transpose_s << " s ("
-              << resolve_speedup << "x)\n"
-              << "fig04 grid (25 cfg): aos " << grid_aos_s
+              << "fig04 grid (25 cfg): oracle " << grid_oracle_s
               << " s, soa scalar " << grid_scalar_s << " s ("
               << grid_scalar_speedup << "x)";
     for (std::size_t v = 0; v < vec_kinds.size(); ++v)
         std::cout << ", soa " << sim::kernelName(vec_kinds[v]) << " "
                   << grid_vec_s[v] << " s ("
-                  << grid_aos_s / grid_vec_s[v] << "x)";
+                  << grid_scalar_s / grid_vec_s[v] << "x)";
     std::cout << "\nper-family columns (s):\n";
     for (std::size_t v = 0; v < all_kinds.size(); ++v) {
         std::string name = sim::kernelName(all_kinds[v]);
@@ -745,19 +715,13 @@ main(int argc, char** argv)
          << "  \"avx512_available\": "
          << (sim::avx512Available() ? "true" : "false") << ",\n"
          << "  \"oracle_seconds\": " << oracle.seconds << ",\n"
-         << "  \"serial_fused_seconds\": " << fused.seconds << ",\n"
-         << "  \"serial_fused_resolve_seconds\": "
-         << fused.resolve_seconds << ",\n"
-         << "  \"serial_fused_replay_seconds\": "
-         << fused.replay_seconds << ",\n"
-         << "  \"parallel_fused_seconds\": " << parallel.seconds
-         << ",\n"
-         << "  \"parallel_threads\": " << pool.numThreads() << ",\n"
          << "  \"soa_scalar_seconds\": " << soa_scalar.seconds << ",\n"
          << "  \"soa_scalar_resolve_seconds\": "
          << soa_scalar.resolve_seconds << ",\n"
          << "  \"soa_scalar_replay_seconds\": "
-         << soa_scalar.replay_seconds << ",\n";
+         << soa_scalar.replay_seconds << ",\n"
+         << "  \"soa_parallel_seconds\": " << parallel.seconds << ",\n"
+         << "  \"parallel_threads\": " << pool.numThreads() << ",\n";
     for (std::size_t v = 0; v < vec_kinds.size(); ++v) {
         const char* kn = sim::kernelName(vec_kinds[v]);
         json << "  \"soa_" << kn << "_seconds\": "
@@ -767,18 +731,11 @@ main(int argc, char** argv)
              << "  \"soa_" << kn << "_replay_seconds\": "
              << soa_vec[v].replay_seconds << ",\n";
     }
-    json << "  \"fused_vs_per_config\": " << fused_speedup << ",\n"
-         << "  \"parallel_vs_serial_fused\": " << parallel_speedup
-         << ",\n"
+    json << "  \"soa_scalar_vs_per_config\": " << soa_speedup << ",\n"
+         << "  \"parallel_vs_serial\": " << parallel_speedup << ",\n"
          << "  \"end_to_end_speedup\": " << end_to_end << ",\n"
-         << "  \"resolve_direct_seconds\": " << resolve_direct_s
-         << ",\n"
-         << "  \"resolve_transpose_seconds\": " << resolve_transpose_s
-         << ",\n"
-         << "  \"resolve_direct_speedup\": " << resolve_speedup
-         << ",\n"
          << "  \"icache_grid_configs\": " << grid.size() << ",\n"
-         << "  \"icache_grid_aos_seconds\": " << grid_aos_s << ",\n"
+         << "  \"icache_grid_oracle_seconds\": " << grid_oracle_s << ",\n"
          << "  \"icache_grid_soa_scalar_seconds\": " << grid_scalar_s
          << ",\n"
          << "  \"icache_grid_scalar_speedup\": " << grid_scalar_speedup
@@ -788,7 +745,7 @@ main(int argc, char** argv)
         json << "  \"icache_grid_soa_" << kn << "_seconds\": "
              << grid_vec_s[v] << ",\n"
              << "  \"icache_grid_" << kn << "_speedup\": "
-             << grid_aos_s / grid_vec_s[v] << ",\n";
+             << grid_scalar_s / grid_vec_s[v] << ",\n";
     }
     for (std::size_t v = 0; v < all_kinds.size(); ++v) {
         const char* kn = sim::kernelName(all_kinds[v]);

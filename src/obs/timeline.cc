@@ -1,14 +1,8 @@
 #include "obs/timeline.hh"
 
-#include <chrono>
-#include <condition_variable>
 #include <fstream>
-#include <map>
-#include <mutex>
-#include <thread>
 
 #include "obs/json.hh"
-#include "obs/registry.hh"
 #include "support/panic.hh"
 
 namespace spikesim::obs {
@@ -135,90 +129,6 @@ writeTimelineTrace(std::span<const Timeline> timelines,
     f.close();
     if (!f)
         support::fatal("failed writing timeline output file: " + path);
-}
-
-struct TimelineSampler::Impl {
-    Timeline timeline;
-    double interval_s;
-    std::map<std::string, std::uint64_t> last;
-    std::mutex mu;
-    std::condition_variable cv;
-    bool stop = false;
-    std::thread thread;
-
-    explicit Impl(double s, std::size_t capacity)
-        : timeline(TimelineConfig{"wall", s, 1e6, capacity}),
-          interval_s(s)
-    {
-    }
-
-    void
-    run()
-    {
-        std::unique_lock<std::mutex> lk(mu);
-        while (!stop) {
-            cv.wait_for(lk, std::chrono::duration<double>(interval_s),
-                        [&] { return stop; });
-            if (stop)
-                break;
-            beat();
-        }
-    }
-
-    /** One window: per-counter deltas since the previous beat. Caller
-     *  holds mu (the ring and series list are shared with stop()). */
-    void
-    beat()
-    {
-        const Snapshot snap = Registry::instance().snapshot();
-        std::vector<double> values(timeline.numSeries(), 0.0);
-        for (const auto& [name, v] : snap.counters) {
-            std::size_t id = timeline.findSeries(name);
-            if (id == Timeline::npos) {
-                if (v == 0)
-                    continue; // don't open series that never move
-                id = timeline.addSeries(name);
-            }
-            if (id >= values.size())
-                values.resize(id + 1, 0.0);
-            values[id] = static_cast<double>(v - last[name]);
-            last[name] = v;
-        }
-        timeline.appendWindow(values);
-    }
-};
-
-TimelineSampler::TimelineSampler(double interval_s, std::size_t capacity)
-    : impl_(std::make_unique<Impl>(interval_s, capacity))
-{
-    impl_->thread = std::thread([this] { impl_->run(); });
-}
-
-TimelineSampler::~TimelineSampler()
-{
-    stop();
-}
-
-void
-TimelineSampler::stop()
-{
-    if (!impl_->thread.joinable())
-        return;
-    {
-        std::lock_guard<std::mutex> lk(impl_->mu);
-        impl_->stop = true;
-    }
-    impl_->cv.notify_all();
-    impl_->thread.join();
-    // Final partial window so short runs still record something.
-    std::lock_guard<std::mutex> lk(impl_->mu);
-    impl_->beat();
-}
-
-const Timeline&
-TimelineSampler::timeline() const
-{
-    return impl_->timeline;
 }
 
 } // namespace spikesim::obs

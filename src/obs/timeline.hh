@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -14,12 +13,10 @@
  * Flight-recorder timelines: fixed-interval windowed samples of named
  * series (throughput, queue depth, window quantiles, ...) held in
  * preallocated ring buffers. The serving simulation drives windows on
- * its virtual clock (one window per `window_cycles`); benches can run a
- * wall-time TimelineSampler that snapshots registry counter deltas on a
- * background beat. Either way the result renders two ways: a compact
- * `timeline` section in the run manifest, and a Chrome trace-event
- * document of counter ("C") events (`--timeline-out`) that Perfetto
- * plots as per-window counter tracks.
+ * its virtual clock (one window per `window_cycles`). The result
+ * renders two ways: a compact `timeline` section in the run manifest,
+ * and a Chrome trace-event document of counter ("C") events
+ * (`--timeline-out`) that Perfetto plots as per-window counter tracks.
  *
  * The counter trace is a separate document from the span trace on
  * purpose: spans are stamped in wall nanoseconds since the trace epoch
@@ -120,35 +117,6 @@ std::string renderTimelineTrace(std::span<const Timeline> timelines);
 /** renderTimelineTrace() + write to a file; fatal() on I/O failure. */
 void writeTimelineTrace(std::span<const Timeline> timelines,
                         const std::string& path);
-
-/**
- * Wall-time sampler: a background thread that once per `interval_s`
- * appends a window to its Timeline with one series per registry
- * counter (created on first appearance), holding the counter's delta
- * since the previous beat. stop() (or destruction) joins the thread
- * and takes a final partial window. The wall-clock sibling of the
- * serving path's virtual-time windows.
- */
-class TimelineSampler
-{
-  public:
-    TimelineSampler(double interval_s, std::size_t capacity = 512);
-    ~TimelineSampler();
-
-    TimelineSampler(const TimelineSampler&) = delete;
-    TimelineSampler& operator=(const TimelineSampler&) = delete;
-
-    /** Join the beat thread and record the final window. Idempotent. */
-    void stop();
-
-    /** The collected timeline (stable reference; stop() first if the
-     *  sampler may still be beating). */
-    const Timeline& timeline() const;
-
-  private:
-    struct Impl;
-    std::unique_ptr<Impl> impl_;
-};
 
 } // namespace spikesim::obs
 

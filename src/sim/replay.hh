@@ -2,8 +2,6 @@
 #define SPIKESIM_SIM_REPLAY_HH
 
 #include <cstdint>
-#include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/layout.hh"
@@ -32,28 +30,11 @@ enum class StreamFilter {
     Combined,
 };
 
-/** Flag bits on a ResolvedRef. */
+/** Flag bits of a resolved ref (ResolvedTraceSoA::flags).
+ *  kRefRunBreak marks refs where another image's block event took this
+ *  CPU's fetch unit since the previous ref — a filtered-out kernel
+ *  entry breaks a sequential run even when the addresses abut. */
 inline constexpr std::uint8_t kRefRunBreak = 1;
-
-/**
- * One trace event resolved through a layout: the byte range its block
- * occupies, the CPU that fetched it, and which stream owns it.
- * Resolving the trace once and replaying the flat vector is what lets
- * one pass feed many cache configurations. The instruction count of a
- * block ref is bytes / program::kInstrBytes (layouts place blocks at
- * blockSize * kInstrBytes bytes, so the two are locked together).
- * kRefRunBreak marks refs where another image's block event took this
- * CPU's fetch unit since the previous ref — a filtered-out kernel
- * entry breaks a sequential run even when the addresses abut.
- */
-struct ResolvedRef
-{
-    std::uint64_t addr = 0;
-    std::uint32_t bytes = 0;
-    std::uint8_t cpu = 0;
-    mem::Owner owner = mem::Owner::App; ///< App/Kernel text, or Data
-    std::uint8_t flags = 0;
-};
 
 /** One data reference, kept in global trace order: the coherence model
  *  (Replayer::hierarchy with model_coherence) depends on the cross-CPU
@@ -64,142 +45,9 @@ struct ResolvedDataRef
     std::uint8_t cpu = 0;
 };
 
-/**
- * A trace pre-resolved through one (app, kernel) layout pair,
- * partitioned by CPU. Every cache simulator's state is per-CPU, so a
- * replay of cpuRefs(c) on its own thread is bit-identical to the
- * interleaved scalar walk — the parallel replay engine (sim/engine.hh)
- * rests on exactly this. When resolved with include_data, each CPU's
- * slice also carries that CPU's data refs (owner == Data) interleaved
- * in trace order, because a CPU's private L2 sees its instruction and
- * data streams in exactly that order; data_refs additionally keeps the
- * global data-event order for the coherence pass.
- */
-struct ResolvedTrace
-{
-    /** Refs grouped by CPU; within one CPU's slice, trace order. */
-    std::vector<ResolvedRef> refs;
-    /** Partition offsets: CPU c owns [cpu_begin[c], cpu_begin[c+1]). */
-    std::vector<std::size_t> cpu_begin;
-    /** Data references in global trace order (include_data only). */
-    std::vector<ResolvedDataRef> data_refs;
-    int num_cpus = 1;
-    /** Filtered block events, including zero-sized blocks. */
-    std::uint64_t instr_events = 0;
-    /** Dynamic instructions: sum of block sizes over filtered events
-     *  (what Replayer::dynamicInstrs walks the raw trace for). */
-    std::uint64_t instrs = 0;
-
-    std::span<const ResolvedRef>
-    cpuRefs(int cpu) const
-    {
-        if (cpu < 0 || cpu + 1 >= static_cast<int>(cpu_begin.size()))
-            return {};
-        const std::size_t b = cpu_begin[static_cast<std::size_t>(cpu)];
-        const std::size_t e =
-            cpu_begin[static_cast<std::size_t>(cpu) + 1];
-        return std::span<const ResolvedRef>(refs).subspan(b, e - b);
-    }
-};
-
-/** Column form of ResolvedTrace; defined in sim/soa.hh. */
+/** A trace resolved through one layout pair into per-CPU columns;
+ *  defined in sim/soa.hh. */
 struct ResolvedTraceSoA;
-
-/**
- * A cache-geometry sweep: the cross product of sizes x line sizes x
- * associativities. Every combination must be a valid CacheConfig.
- */
-struct SweepSpec
-{
-    std::vector<std::uint32_t> size_bytes;
-    std::vector<std::uint32_t> line_bytes;
-    std::vector<std::uint32_t> assocs{1};
-
-    /** Empty when every combination is consistent, else a complaint. */
-    std::string check() const;
-
-    /** Number of (size, line, assoc) combinations. */
-    std::size_t
-    numConfigs() const
-    {
-        return size_bytes.size() * line_bytes.size() * assocs.size();
-    }
-};
-
-/**
- * Hit/miss counts for every configuration of a SweepSpec, produced by
- * the single-pass stack-distance engine. Counts are aggregated over
- * CPUs (each CPU simulates its own cache, as in Replayer::icache).
- */
-class SweepResult
-{
-  public:
-    SweepResult() = default;
-    explicit SweepResult(SweepSpec spec);
-
-    const SweepSpec& spec() const { return spec_; }
-
-    /** Line fetches for the given line size (size/assoc-independent). */
-    std::uint64_t accesses(std::uint32_t line_bytes) const;
-
-    std::uint64_t misses(std::uint32_t size_bytes,
-                         std::uint32_t line_bytes,
-                         std::uint32_t assoc) const;
-
-    std::uint64_t
-    misses(const mem::CacheConfig& config) const
-    {
-        return misses(config.size_bytes, config.line_bytes, config.assoc);
-    }
-
-    std::uint64_t
-    hits(std::uint32_t size_bytes, std::uint32_t line_bytes,
-         std::uint32_t assoc) const
-    {
-        return accesses(line_bytes) -
-               misses(size_bytes, line_bytes, assoc);
-    }
-
-  private:
-    friend void sweepLineSize(const ResolvedTrace&, const SweepSpec&,
-                              std::size_t, SweepResult&);
-    friend void sweepAllLines(const ResolvedTrace&, const SweepSpec&,
-                              SweepResult&);
-
-    std::size_t lineIndex(std::uint32_t line_bytes) const;
-    std::size_t index(std::size_t si, std::size_t li,
-                      std::size_t ai) const;
-
-    SweepSpec spec_;
-    std::vector<std::uint64_t> accesses_; ///< per line-size index
-    std::vector<std::uint64_t> misses_;   ///< [li][si][ai], line-major
-    // Dimension-value -> index maps, built once by the constructor so
-    // the accessors (called per table cell by the benches) don't
-    // re-scan the spec vectors on every lookup.
-    std::unordered_map<std::uint32_t, std::size_t> size_index_;
-    std::unordered_map<std::uint32_t, std::size_t> line_index_;
-    std::unordered_map<std::uint32_t, std::size_t> assoc_index_;
-};
-
-/**
- * Run the single-pass sweep for one line size of the spec, filling that
- * line's slice of `out`. Distinct line indices touch disjoint slices,
- * so concurrent calls on the same result are safe — the parallel sweep
- * executor (sim/sweep.hh) relies on this.
- */
-void sweepLineSize(const ResolvedTrace& trace, const SweepSpec& spec,
-                   std::size_t line_index, SweepResult& out);
-
-/**
- * Run the sweep for every line size of the spec in ONE pass over the
- * resolved trace. Equivalent to calling sweepLineSize for each line
- * index, but the per-reference loop overhead (which dominates for short
- * basic blocks) is paid once instead of once per line size. This is the
- * serial fast path; the parallel executor uses sweepLineSize so line
- * sizes can run on different threads.
- */
-void sweepAllLines(const ResolvedTrace& trace, const SweepSpec& spec,
-                   SweepResult& out);
 
 /** App/kernel interference matrix (Figure 13). */
 struct InterferenceMatrix
@@ -304,43 +152,24 @@ class Replayer
                               StreamFilter filter) const;
 
     /**
-     * Resolve the filtered trace through the layouts once: every block
-     * event becomes a flat (addr, bytes, cpu, owner) record, grouped
-     * by CPU (see ResolvedTrace). Zero-sized blocks are dropped from
-     * the refs but still counted in instr_events/instrs. Data events
-     * are dropped unless `include_data` is set, in which case they
-     * appear both in the per-CPU slices (owner == Data) and in
-     * data_refs in global order.
-     */
-    ResolvedTrace resolve(StreamFilter filter,
-                          bool include_data = false) const;
-
-    /**
-     * Resolve straight into the column (SoA) form consumed by the
-     * kernel replay paths, skipping the AoS intermediate and its
-     * transpose. Field-for-field identical to toSoA(resolve(...)) —
-     * the fuzz in tests/replay_parallel_test.cc pins that — with every
-     * column and data_refs sized exactly from a counting pass (no
-     * growth reallocation). Both passes run chunk-parallel on a
-     * call-local pool sized by the process's CPU affinity; the output
-     * does not depend on the chunk count (see detail::resolveSoA).
-     * resolve() remains the differential oracle. Panics with "block id
-     * out of range" before writing any column if an event names a
-     * block the layout does not have.
+     * Resolve the filtered trace through the layouts once, into the
+     * per-CPU columns every sim::replay* family consumes (see
+     * ResolvedTraceSoA). Zero-sized blocks are dropped from the refs
+     * but still counted in instr_events/instrs. Data events are dropped
+     * unless `include_data` is set, in which case they appear both in
+     * the per-CPU slices (owner == Data) and in data_refs in global
+     * order. Every column and data_refs is sized exactly from a
+     * counting pass (no growth reallocation). Both passes run
+     * chunk-parallel on a call-local pool sized by the process's CPU
+     * affinity; the output does not depend on the chunk count (see
+     * detail::resolveSoA). The per-config walks above and below read
+     * the raw trace and are the differential oracles of every replay
+     * over these columns. Panics with "block id out of range" before
+     * writing any column if an event names a block the layout does not
+     * have.
      */
     ResolvedTraceSoA resolveSoA(StreamFilter filter,
                                 bool include_data = false) const;
-
-    /**
-     * Single-pass cache sweep: resolves the trace once and prices every
-     * configuration of the spec via per-set LRU stack distances
-     * (mem::LruStackSim). Miss counts are bit-identical to running
-     * icache() once per configuration, at a fraction of the cost; only
-     * the owner/interference attribution is unavailable (use the
-     * per-config path for Figure 13 style studies).
-     */
-    SweepResult icacheSweep(const SweepSpec& spec,
-                            StreamFilter filter) const;
 
     /** Word-granular instrumented replay (histograms merged over
      *  CPUs). */

@@ -9,21 +9,19 @@
 
 /**
  * @file
- * Structure-of-arrays resolved trace: the same CPU-partitioned record
- * stream as sim::ResolvedTrace, but with addr/bytes/owner/flags stored
- * as separate contiguous columns. The replay hot loops consume one or
- * two of the four fields per family (the i-cache kernels read addr and
- * bytes and only branch on owner), so streaming a packed 8-byte addr
- * column instead of striding 24-byte ResolvedRef structs keeps the
- * loads dense, lets the hardware prefetcher see plain unit-stride
- * streams, and gives the SIMD kernels (sim/kernels.hh) contiguous
- * lanes to load from.
- *
- * The conversion is a by-construction bijection on the fields: every
- * SoA replay result is bit-identical to the AoS walk because the
- * per-CPU record sequences are byte-for-byte the same values in the
- * same order. tests/replay_parallel_test.cc fuzzes exactly that claim
- * against the scalar Replayer oracles for all seven families.
+ * The resolved trace: the recorded block trace pushed through one
+ * (app, kernel) layout pair, partitioned by CPU, with addr/bytes/
+ * owner/flags stored as separate contiguous columns. Every cache
+ * simulator's state is per-CPU, so a replay of one CPU's slice on its
+ * own thread is bit-identical to the interleaved scalar walk — the
+ * parallel replay engine (sim/engine.hh) rests on exactly this. The
+ * replay hot loops consume one or two of the four fields per family
+ * (the i-cache kernels read addr and bytes and only branch on owner),
+ * so packed columns keep the loads dense, let the hardware prefetcher
+ * see plain unit-stride streams, and give the SIMD kernels
+ * (sim/kernels.hh) contiguous lanes to load from.
+ * tests/replay_parallel_test.cc fuzzes every replay over these columns
+ * against the scalar Replayer oracles, which walk the raw trace.
  */
 
 namespace spikesim::sim {
@@ -100,9 +98,14 @@ template <class T>
 using Column = std::vector<T, ColumnAlloc<T>>;
 
 /**
- * Column view of a ResolvedTrace. Owns its columns (the source trace
- * may be dropped after conversion); data_refs is copied verbatim for
- * the hierarchy coherence pass, which needs the global event order.
+ * A trace resolved through one layout pair (Replayer::resolveSoA). The
+ * instruction count of a block ref is bytes / program::kInstrBytes
+ * (layouts place blocks at blockSize * kInstrBytes bytes, so the two
+ * are locked together). When resolved with include_data, each CPU's
+ * slice also carries that CPU's data refs (owner == Data) interleaved
+ * in trace order, because a CPU's private L2 sees its instruction and
+ * data streams in exactly that order; data_refs additionally keeps the
+ * global data-event order for the hierarchy coherence pass.
  */
 struct ResolvedTraceSoA
 {
@@ -110,12 +113,16 @@ struct ResolvedTraceSoA
     Column<std::uint32_t> bytes;
     Column<std::uint8_t> owner; ///< mem::Owner as raw uint8
     Column<std::uint8_t> flags; ///< kRefRunBreak etc.
-    /** Partition offsets: CPU c owns [cpu_begin[c], cpu_begin[c+1]). */
+    /** Partition offsets: CPU c owns [cpu_begin[c], cpu_begin[c+1]),
+     *  in trace order within the slice. */
     std::vector<std::size_t> cpu_begin;
     /** Data references in global trace order (include_data only). */
     std::vector<ResolvedDataRef> data_refs;
     int num_cpus = 1;
+    /** Filtered block events, including zero-sized blocks. */
     std::uint64_t instr_events = 0;
+    /** Dynamic instructions: sum of block sizes over filtered events
+     *  (what Replayer::dynamicInstrs walks the raw trace for). */
     std::uint64_t instrs = 0;
 
     std::size_t size() const { return addr.size(); }
@@ -130,9 +137,6 @@ struct ResolvedTraceSoA
                 cpu_begin[static_cast<std::size_t>(cpu) + 1]};
     }
 };
-
-/** Transpose a resolved trace into columns (one linear pass). */
-ResolvedTraceSoA toSoA(const ResolvedTrace& trace);
 
 } // namespace spikesim::sim
 

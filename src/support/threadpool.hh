@@ -12,9 +12,9 @@
 
 /**
  * @file
- * Fixed-size worker-thread pool for the parallel sweep executor. The
+ * Fixed-size worker-thread pool for the parallel replay engine. The
  * replay workloads are embarrassingly parallel — independent
- * (layout x filter x line-size) jobs over a shared read-only trace —
+ * (CPU x config-chunk) shards over a shared read-only resolved trace —
  * so a plain task queue with a drain barrier is all the machinery
  * needed. Tasks must not throw (simulation errors panic/abort).
  */

@@ -202,9 +202,11 @@ TEST(ITlbCostDifferential, RanksPackedAbovePageStraddledLayouts)
     const sim::ITlbSpec spec{2, 4096, 128};
     auto misses = [&](const core::Layout& layout) {
         const sim::Replayer rep(w.buf, layout, nullptr);
-        const sim::ResolvedTrace rt =
-            rep.resolve(sim::StreamFilter::AppOnly);
-        return sim::replayITlb(rt, {&spec, 1}, nullptr)[0].misses;
+        const sim::ResolvedTraceSoA rt =
+            rep.resolveSoA(sim::StreamFilter::AppOnly);
+        return sim::replayITlb(rt, {&spec, 1}, sim::SimdMode::Scalar,
+                               nullptr)[0]
+            .misses;
     };
     const std::uint64_t misses_tight = misses(tight);
     const std::uint64_t misses_loose = misses(loose);

@@ -4,22 +4,21 @@
  * (sim/engine.hh): on random programs and multi-CPU traces with app +
  * kernel images and data noise, every engine family — fused i-cache
  * with interference, three-C, stream buffers, instrumented word stats,
- * iTLB, full hierarchy with coherence, and sequence analysis — must be
+ * iTLB, full hierarchy with coherence, and sequence analysis — replayed
+ * over the resolved columns (Replayer::resolveSoA) must be
  * bit-identical to the scalar per-config Replayer/metrics oracles,
- * both serial-fused (no pool) and sharded across a thread pool,
- * including a pool wider than the trace's CPU count (which engages the
- * per-(cpu, config-chunk) sharding path).
+ * which walk the raw trace. Each family runs serial-fused (no pool)
+ * and sharded across a thread pool, including a pool wider than the
+ * trace's CPU count (which engages the per-(cpu, config-chunk)
+ * sharding path), and the i-cache, three-C, and stream-buffer families
+ * through every kernel runnable here — forced scalar, forced AVX2, and
+ * forced AVX-512 (sim/kernels.hh). The SIMD kernels have no tolerance:
+ * miss counts, classification counts, and interference matrices must
+ * match the scalar Replayer bit for bit.
  *
- * Every family is additionally replayed through the structure-of-arrays
- * overloads (sim/soa.hh) over a *directly resolved* SoA trace
- * (Replayer::resolveSoA — no transpose), and the i-cache, three-C, and
- * stream-buffer families through every SoA kernel runnable here —
- * forced scalar, forced AVX2, and forced AVX-512 (sim/kernels.hh) —
- * against the same oracles. The SIMD kernels have no tolerance: miss
- * counts, classification counts, and interference matrices must match
- * the scalar Replayer bit for bit. Direct resolve itself is
- * bit-compared against transpose-of-AoS across every filter,
- * include_data setting, and CPU count.
+ * The chunk-parallel resolve is pinned two ways: hand-built traces with
+ * hand-derived columns at every chunk count, and random traces at
+ * several chunk counts against the one-chunk resolve.
  */
 
 #include <gtest/gtest.h>
@@ -196,7 +195,6 @@ TEST(ReplayEngine, MatchesICacheOracleRandomized)
         Workload w(cpus, 100 + static_cast<std::uint32_t>(cpus));
         ASSERT_EQ(w.rep.numCpus(), cpus);
         for (StreamFilter filter : kFilters) {
-            ResolvedTrace trace = w.rep.resolve(filter);
             const ResolvedTraceSoA soa = w.rep.resolveSoA(filter);
             std::vector<ICacheReplayResult> oracle;
             for (const auto& c : configs)
@@ -225,7 +223,6 @@ TEST(ReplayEngine, MatchesICacheOracleRandomized)
                     }
                 };
             for (support::ThreadPool* pool : pools.all) {
-                expect_oracle(replayICache(trace, configs, pool), "aos");
                 for (SimdMode mode : modes)
                     expect_oracle(
                         replayICache(soa, configs, mode, pool),
@@ -243,7 +240,6 @@ TEST(ReplayEngine, MatchesThreeCsAndStreamBufferOracles)
     for (int cpus : {1, 3, 8}) {
         Workload w(cpus, 200 + static_cast<std::uint32_t>(cpus));
         for (StreamFilter filter : kFilters) {
-            ResolvedTrace trace = w.rep.resolve(filter);
             const ResolvedTraceSoA soa = w.rep.resolveSoA(filter);
             std::vector<mem::ThreeCStats> t_oracle;
             std::vector<mem::StreamBufferStats> s_oracle;
@@ -285,10 +281,6 @@ TEST(ReplayEngine, MatchesThreeCsAndStreamBufferOracles)
                     }
                 };
             for (support::ThreadPool* pool : pools.all) {
-                expect_threec(replayThreeCs(trace, configs, pool),
-                              "aos");
-                expect_sbuf(replayStreamBuffer(trace, configs, 4, pool),
-                            "aos");
                 for (SimdMode mode : modes) {
                     expect_threec(
                         replayThreeCs(soa, configs, mode, pool),
@@ -309,13 +301,10 @@ TEST(ReplayEngine, MatchesInstrumentedOracleIncludingFlush)
     for (int cpus : {2, 5}) {
         Workload w(cpus, 300 + static_cast<std::uint32_t>(cpus));
         for (StreamFilter filter : kFilters) {
-            ResolvedTrace trace = w.rep.resolve(filter);
             const ResolvedTraceSoA soa = w.rep.resolveSoA(filter);
             for (bool flush : {false, true}) {
                 for (support::ThreadPool* pool : pools.all) {
                     auto col =
-                        replayInstrumented(trace, configs, flush, pool);
-                    auto col_soa =
                         replayInstrumented(soa, configs, flush, pool);
                     for (std::size_t i = 0; i < configs.size(); ++i) {
                         auto r = w.rep.instrumented(configs[i], filter,
@@ -331,15 +320,6 @@ TEST(ReplayEngine, MatchesInstrumentedOracleIncludingFlush)
                         EXPECT_EQ(col[i].unused_word_fraction,
                                   r.unused_word_fraction);
                         EXPECT_EQ(col[i].misses, r.misses);
-                        expectHistEq(col_soa[i].words_used,
-                                     r.words_used, "soa words_used");
-                        expectHistEq(col_soa[i].word_reuse,
-                                     r.word_reuse, "soa word_reuse");
-                        expectHistEq(col_soa[i].lifetimes, r.lifetimes,
-                                     "soa lifetimes");
-                        EXPECT_EQ(col_soa[i].unused_word_fraction,
-                                  r.unused_word_fraction);
-                        EXPECT_EQ(col_soa[i].misses, r.misses);
                     }
                 }
             }
@@ -356,25 +336,20 @@ TEST(ReplayEngine, MatchesITlbOracleAndDynamicInstrs)
     for (int cpus : {1, 4}) {
         Workload w(cpus, 400 + static_cast<std::uint32_t>(cpus));
         for (StreamFilter filter : kFilters) {
-            ResolvedTrace trace = w.rep.resolve(filter);
             const ResolvedTraceSoA soa = w.rep.resolveSoA(filter);
-            EXPECT_EQ(trace.instrs, w.rep.dynamicInstrs(filter));
-            EXPECT_EQ(soa.instrs, trace.instrs);
+            EXPECT_EQ(soa.instrs, w.rep.dynamicInstrs(filter));
+            std::vector<ITlbReplayResult> oracle;
+            for (const ITlbSpec& spec : specs)
+                oracle.push_back(w.rep.itlb(spec, filter));
             for (support::ThreadPool* pool : pools.all) {
-                auto col = replayITlb(trace, specs, pool);
-                for (std::size_t i = 0; i < specs.size(); ++i) {
-                    auto r = w.rep.itlb(specs[i], filter);
-                    EXPECT_EQ(col[i].accesses, r.accesses);
-                    EXPECT_EQ(col[i].misses, r.misses);
-                }
                 // The iTLB kernel is the same scalar walk under every
                 // mode; replaying under each pins that equivalence.
                 for (SimdMode mode : modes) {
-                    auto col_soa = replayITlb(soa, specs, mode, pool);
+                    auto col = replayITlb(soa, specs, mode, pool);
                     for (std::size_t i = 0; i < specs.size(); ++i) {
-                        EXPECT_EQ(col_soa[i].accesses, col[i].accesses)
+                        EXPECT_EQ(col[i].accesses, oracle[i].accesses)
                             << modeLabel(mode) << " spec " << i;
-                        EXPECT_EQ(col_soa[i].misses, col[i].misses)
+                        EXPECT_EQ(col[i].misses, oracle[i].misses)
                             << modeLabel(mode) << " spec " << i;
                     }
                 }
@@ -394,15 +369,10 @@ TEST(ReplayEngine, MatchesHierarchyOracleWithCoherence)
     for (int cpus : {1, 2, 4, 8}) {
         Workload w(cpus, 500 + static_cast<std::uint32_t>(cpus));
         for (bool coherence : {false, true}) {
-            ResolvedTrace trace =
-                w.rep.resolve(StreamFilter::Combined, true);
             const ResolvedTraceSoA soa =
                 w.rep.resolveSoA(StreamFilter::Combined, true);
             for (support::ThreadPool* pool : pools.all) {
-                auto col =
-                    replayHierarchy(trace, configs, coherence, pool);
-                auto col_soa =
-                    replayHierarchy(soa, configs, coherence, pool);
+                auto col = replayHierarchy(soa, configs, coherence, pool);
                 for (std::size_t i = 0; i < configs.size(); ++i) {
                     auto r = w.rep.hierarchy(configs[i], true,
                                              coherence);
@@ -414,15 +384,6 @@ TEST(ReplayEngine, MatchesHierarchyOracleWithCoherence)
                                       "per_cpu");
                     EXPECT_EQ(col[i].instrs, r.instrs);
                     EXPECT_EQ(col[i].fetch_breaks, r.fetch_breaks);
-                    expectStatsEq(col_soa[i].total, r.total,
-                                  "soa total");
-                    ASSERT_EQ(col_soa[i].per_cpu.size(),
-                              r.per_cpu.size());
-                    for (std::size_t c = 0; c < r.per_cpu.size(); ++c)
-                        expectStatsEq(col_soa[i].per_cpu[c],
-                                      r.per_cpu[c], "soa per_cpu");
-                    EXPECT_EQ(col_soa[i].instrs, r.instrs);
-                    EXPECT_EQ(col_soa[i].fetch_breaks, r.fetch_breaks);
                 }
             }
         }
@@ -458,35 +419,34 @@ expectSoAEq(const ResolvedTraceSoA& got, const ResolvedTraceSoA& want,
 
 /** Chunk counts the chunked resolve is checked at: the small test
  *  traces would otherwise always resolve as one chunk. */
-constexpr std::size_t kChunkCounts[] = {1, 2, 3, 7, 64};
+constexpr std::size_t kChunkCounts[] = {2, 3, 7, 64};
 
 /**
- * The direct SoA resolve (Replayer::resolveSoA) must be bit-identical
- * to the retained transpose route (toSoA of Replayer::resolve) —
- * every column element, partition offset, data ref, and total, across
- * all filters, both include_data settings, 1/2/4/8-CPU traces, and
- * every chunk count of the parallel resolve. This is the differential
- * oracle that lets the engine run on direct resolve alone.
+ * The chunk-parallel resolve must not depend on its chunk count: at
+ * every chunk count, Replayer::resolveSoA's own pick included, every
+ * column element, partition offset, data ref, and total must match the
+ * one-chunk resolve, across all filters, both include_data settings,
+ * and 1/2/4/8-CPU traces. The one-chunk columns themselves are pinned
+ * by the hand-derived chunk-edge tests below and, through every replay
+ * family, by the raw-trace oracles above.
  */
-TEST(ReplayEngine, DirectSoAResolveMatchesTransposeOfAoS)
+TEST(ReplayEngine, DirectSoAResolveMatchesOneChunkAtEveryChunkCount)
 {
     for (int cpus : {1, 2, 4, 8}) {
         Workload w(cpus, 700 + static_cast<std::uint32_t>(cpus));
         for (StreamFilter filter : kFilters) {
             for (bool data : {false, true}) {
-                const ResolvedTraceSoA via_aos =
-                    toSoA(w.rep.resolve(filter, data));
+                const ResolvedTraceSoA one =
+                    detail::resolveSoA(w.rep, filter, data, 1);
                 const std::string what =
                     "cpus " + std::to_string(cpus) + " filter " +
                     std::to_string(static_cast<int>(filter)) +
                     (data ? " +data" : "");
-                expectSoAEq(w.rep.resolveSoA(filter, data), via_aos,
-                            what);
+                expectSoAEq(w.rep.resolveSoA(filter, data), one, what);
                 for (std::size_t chunks : kChunkCounts)
                     expectSoAEq(
                         detail::resolveSoA(w.rep, filter, data, chunks),
-                        via_aos,
-                        what + " chunks " + std::to_string(chunks));
+                        one, what + " chunks " + std::to_string(chunks));
             }
         }
     }
@@ -547,27 +507,60 @@ block(trace::TraceBuffer& buf, int cpu, trace::ImageId image,
     buf.onBlock(ctx, image, id);
 }
 
-/** Resolve `buf` at every chunk count from 1 to past one event per
- *  chunk, for every filter and include_data setting, against the
- *  transpose-of-AoS oracle. */
-void
-expectEveryChunkingMatches(const trace::TraceBuffer& buf,
-                           const EdgeImages& img, const char* what)
+/** One hand-derived resolved ref. */
+struct Ref
 {
-    const Replayer rep(buf, img.app_layout, &img.kern_layout);
-    for (StreamFilter filter : kFilters)
-        for (bool data : {false, true}) {
-            const ResolvedTraceSoA want = toSoA(rep.resolve(filter, data));
-            for (std::size_t chunks = 1; chunks <= buf.size() + 2;
-                 ++chunks)
-                expectSoAEq(detail::resolveSoA(rep, filter, data, chunks),
-                            want,
-                            std::string(what) + " filter " +
-                                std::to_string(static_cast<int>(filter)) +
-                                (data ? " +data" : "") + " chunks " +
-                                std::to_string(chunks));
+    std::uint64_t addr;
+    std::uint32_t bytes;
+    mem::Owner owner;
+    std::uint8_t flags;
+};
+
+/** Literal resolved columns from per-CPU ref lists. */
+ResolvedTraceSoA
+columns(const std::vector<std::vector<Ref>>& per_cpu,
+        std::vector<ResolvedDataRef> data_refs,
+        std::uint64_t instr_events, std::uint64_t instrs)
+{
+    ResolvedTraceSoA out;
+    out.num_cpus = static_cast<int>(per_cpu.size());
+    out.cpu_begin.push_back(0);
+    for (const std::vector<Ref>& refs : per_cpu) {
+        for (const Ref& r : refs) {
+            out.addr.push_back(r.addr);
+            out.bytes.push_back(r.bytes);
+            out.owner.push_back(static_cast<std::uint8_t>(r.owner));
+            out.flags.push_back(r.flags);
         }
+        out.cpu_begin.push_back(out.addr.size());
+    }
+    out.data_refs = std::move(data_refs);
+    out.instr_events = instr_events;
+    out.instrs = instrs;
+    return out;
 }
+
+/** Resolve with (filter, include_data) at every chunk count from 1 to
+ *  past one event per chunk, against hand-derived columns. */
+void
+expectEveryChunking(const Replayer& rep, StreamFilter filter, bool data,
+                    const ResolvedTraceSoA& want, const char* what)
+{
+    for (std::size_t chunks = 1; chunks <= rep.trace().size() + 2;
+         ++chunks)
+        expectSoAEq(detail::resolveSoA(rep, filter, data, chunks), want,
+                    std::string(what) + " filter " +
+                        std::to_string(static_cast<int>(filter)) +
+                        (data ? " +data" : "") + " chunks " +
+                        std::to_string(chunks));
+}
+
+constexpr mem::Owner kApp = mem::Owner::App;
+constexpr mem::Owner kKern = mem::Owner::Kernel;
+// EdgeImages' block addresses under its layouts. Bytes are 4 per
+// instruction: body 12, tail 16, the kernel block 8.
+constexpr std::uint64_t kBodyAt = 0x1000, kTailAt = 0x100c;
+constexpr std::uint64_t kKernAt = 0x400000;
 
 TEST(ReplayEngine, ChunkedResolveCarriesAKernelRunBreakIntoTheNextChunk)
 {
@@ -580,13 +573,20 @@ TEST(ReplayEngine, ChunkedResolveCarriesAKernelRunBreakIntoTheNextChunk)
     block(buf, 0, trace::ImageId::App, EdgeImages::kTail);
     block(buf, 0, trace::ImageId::App, EdgeImages::kBody);
     const Replayer rep(buf, img.app_layout, &img.kern_layout);
-    const ResolvedTraceSoA soa =
-        detail::resolveSoA(rep, StreamFilter::AppOnly, false, 2);
-    ASSERT_EQ(soa.size(), 3u);
-    EXPECT_EQ(soa.flags[0], 0);
-    EXPECT_EQ(soa.flags[1], kRefRunBreak);
-    EXPECT_EQ(soa.flags[2], 0);
-    expectEveryChunkingMatches(buf, img, "kernel break at chunk end");
+    const char* what = "kernel break at chunk end";
+    expectEveryChunking(rep, StreamFilter::AppOnly, false,
+                        columns({{{kBodyAt, 12, kApp, 0},
+                                  {kTailAt, 16, kApp, kRefRunBreak},
+                                  {kBodyAt, 12, kApp, 0}}},
+                                {}, 3, 10),
+                        what);
+    expectEveryChunking(rep, StreamFilter::Combined, true,
+                        columns({{{kBodyAt, 12, kApp, 0},
+                                  {kKernAt, 8, kKern, 0},
+                                  {kTailAt, 16, kApp, 0},
+                                  {kBodyAt, 12, kApp, 0}}},
+                                {}, 4, 12),
+                        what);
 }
 
 TEST(ReplayEngine, ChunkedResolveKeepsARunBreakAcrossAZeroSizeBlock)
@@ -603,14 +603,18 @@ TEST(ReplayEngine, ChunkedResolveKeepsARunBreakAcrossAZeroSizeBlock)
     block(buf, 0, trace::ImageId::App, EdgeImages::kEmpty);
     block(buf, 0, trace::ImageId::App, EdgeImages::kBody);
     const Replayer rep(buf, img.app_layout, &img.kern_layout);
-    const ResolvedTraceSoA soa =
-        detail::resolveSoA(rep, StreamFilter::AppOnly, false, 3);
-    ASSERT_EQ(soa.size(), 2u);
-    EXPECT_EQ(soa.flags[0], kRefRunBreak);
-    EXPECT_EQ(soa.flags[1], 0);
-    EXPECT_EQ(soa.instr_events, 5u);
-    EXPECT_EQ(soa.instrs, 7u);
-    expectEveryChunkingMatches(buf, img, "zero-size block at chunk edge");
+    const char* what = "zero-size block at chunk edge";
+    expectEveryChunking(rep, StreamFilter::AppOnly, false,
+                        columns({{{kTailAt, 16, kApp, kRefRunBreak},
+                                  {kBodyAt, 12, kApp, 0}}},
+                                {}, 5, 7),
+                        what);
+    expectEveryChunking(rep, StreamFilter::Combined, true,
+                        columns({{{kKernAt, 8, kKern, 0},
+                                  {kTailAt, 16, kApp, 0},
+                                  {kBodyAt, 12, kApp, 0}}},
+                                {}, 6, 9),
+                        what);
 }
 
 TEST(ReplayEngine, ChunkedResolveCarriesStateThroughAChunkWithoutTheCpu)
@@ -632,13 +636,28 @@ TEST(ReplayEngine, ChunkedResolveCarriesStateThroughAChunkWithoutTheCpu)
     block(buf, 1, trace::ImageId::App, EdgeImages::kBody);
     const Replayer rep(buf, img.app_layout, &img.kern_layout);
     ASSERT_EQ(rep.numCpus(), 2);
-    const ResolvedTraceSoA soa =
-        detail::resolveSoA(rep, StreamFilter::AppOnly, false, 3);
-    ASSERT_EQ(soa.cpu_begin, (std::vector<std::size_t>{0, 3, 6}));
-    EXPECT_EQ(soa.flags[3], 0);            // CPU 1's first ref
-    EXPECT_EQ(soa.flags[4], kRefRunBreak); // after its kernel event
-    EXPECT_EQ(soa.flags[5], 0);
-    expectEveryChunkingMatches(buf, img, "chunk without a CPU");
+    const char* what = "chunk without a CPU";
+    expectEveryChunking(rep, StreamFilter::AppOnly, false,
+                        columns({{{kBodyAt, 12, kApp, 0},
+                                  {kTailAt, 16, kApp, 0},
+                                  {kBodyAt, 12, kApp, 0}},
+                                 {{kBodyAt, 12, kApp, 0},
+                                  {kTailAt, 16, kApp, kRefRunBreak},
+                                  {kBodyAt, 12, kApp, 0}}},
+                                {}, 6, 20),
+                        what);
+    expectEveryChunking(rep, StreamFilter::Combined, true,
+                        columns({{{kBodyAt, 12, kApp, 0},
+                                  {kTailAt, 16, kApp, 0},
+                                  {0x8000, 4, mem::Owner::Data, 0},
+                                  {kBodyAt, 12, kApp, 0},
+                                  {kKernAt, 8, kKern, 0}},
+                                 {{kBodyAt, 12, kApp, 0},
+                                  {kKernAt, 8, kKern, 0},
+                                  {kTailAt, 16, kApp, 0},
+                                  {kBodyAt, 12, kApp, 0}}},
+                                {{0x8000, 0}}, 8, 24),
+                        what);
 }
 
 TEST(ReplayEngineDeathTest, ResolveRejectsAnOutOfRangeBlockId)
@@ -677,21 +696,12 @@ TEST(ReplayEngine, MatchesSequenceOracleOnBothImages)
         for (const Case& c : cases) {
             metrics::SequenceStats oracle = metrics::sequenceLengths(
                 w.buf, *c.layout, c.image);
-            ResolvedTrace trace = w.rep.resolve(c.filter);
             const ResolvedTraceSoA soa = w.rep.resolveSoA(c.filter);
             for (support::ThreadPool* pool : pools.all) {
-                metrics::SequenceStats got = replaySequence(trace, pool);
+                metrics::SequenceStats got = replaySequence(soa, pool);
                 expectHistEq(got.lengths, oracle.lengths, "lengths");
                 EXPECT_EQ(got.mean, oracle.mean) << "cpus " << cpus;
                 EXPECT_EQ(got.mean_block_size, oracle.mean_block_size)
-                    << "cpus " << cpus;
-                metrics::SequenceStats got_soa =
-                    replaySequence(soa, pool);
-                expectHistEq(got_soa.lengths, oracle.lengths,
-                             "soa lengths");
-                EXPECT_EQ(got_soa.mean, oracle.mean) << "cpus " << cpus;
-                EXPECT_EQ(got_soa.mean_block_size,
-                          oracle.mean_block_size)
                     << "cpus " << cpus;
             }
         }

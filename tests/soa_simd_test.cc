@@ -1,10 +1,9 @@
 /**
  * @file
- * Unit and differential tests for the SoA resolved trace (sim/soa.hh)
- * and the SIMD kernel dispatch (sim/kernels.hh):
+ * Unit and differential tests for the SIMD kernel dispatch
+ * (sim/kernels.hh) and the kernels' replay over the resolved columns
+ * (sim/soa.hh):
  *
- *  - toSoA is a field-exact transpose: columns, partition offsets,
- *    data refs and totals all match the AoS source.
  *  - SPIKESIM_SIMD parsing is strict — unset/empty means Auto, "0",
  *    "1" and "2" force a kernel, and anything else is a fatal user
  *    error (death-tested, since support::fatal exits).
@@ -20,6 +19,8 @@
  *    line sizes in one fused column — so group construction, the
  *    span-segmented DM probes, and the per-assoc dispatch all get
  *    exercised in a single replay, under every runnable kernel.
+ *  - An inconsistent cache geometry panics with "bad cache config"
+ *    under every kernel, serial and on a pool.
  */
 
 #include <gtest/gtest.h>
@@ -135,50 +136,6 @@ struct Workload
     {
     }
 };
-
-TEST(ResolvedTraceSoA, TransposeIsFieldExact)
-{
-    Workload w(4, 7001);
-    // include_data so the data_refs column and Data owners are present.
-    ResolvedTrace trace = w.rep.resolve(StreamFilter::Combined, true);
-    ResolvedTraceSoA soa = toSoA(trace);
-
-    ASSERT_EQ(soa.size(), trace.refs.size());
-    ASSERT_EQ(soa.bytes.size(), trace.refs.size());
-    ASSERT_EQ(soa.owner.size(), trace.refs.size());
-    ASSERT_EQ(soa.flags.size(), trace.refs.size());
-    for (std::size_t i = 0; i < trace.refs.size(); ++i) {
-        EXPECT_EQ(soa.addr[i], trace.refs[i].addr) << i;
-        EXPECT_EQ(soa.bytes[i], trace.refs[i].bytes) << i;
-        EXPECT_EQ(soa.owner[i],
-                  static_cast<std::uint8_t>(trace.refs[i].owner))
-            << i;
-        EXPECT_EQ(soa.flags[i], trace.refs[i].flags) << i;
-    }
-
-    ASSERT_EQ(soa.cpu_begin, trace.cpu_begin);
-    EXPECT_EQ(soa.num_cpus, trace.num_cpus);
-    EXPECT_EQ(soa.instr_events, trace.instr_events);
-    EXPECT_EQ(soa.instrs, trace.instrs);
-
-    ASSERT_EQ(soa.data_refs.size(), trace.data_refs.size());
-    for (std::size_t i = 0; i < trace.data_refs.size(); ++i) {
-        EXPECT_EQ(soa.data_refs[i].addr, trace.data_refs[i].addr);
-        EXPECT_EQ(soa.data_refs[i].cpu, trace.data_refs[i].cpu);
-    }
-
-    // cpuRange agrees with the AoS span accessor, including the
-    // out-of-range behavior on both sides.
-    for (int c = 0; c < trace.num_cpus; ++c) {
-        auto [b, e] = soa.cpuRange(c);
-        auto span = trace.cpuRefs(c);
-        EXPECT_EQ(e - b, span.size()) << "cpu " << c;
-        EXPECT_EQ(b, trace.cpu_begin[static_cast<std::size_t>(c)]);
-    }
-    EXPECT_EQ(soa.cpuRange(-1), (std::pair<std::size_t, std::size_t>{}));
-    EXPECT_EQ(soa.cpuRange(trace.num_cpus),
-              (std::pair<std::size_t, std::size_t>{}));
-}
 
 TEST(SimdDispatch, EnvParseIsStrict)
 {
@@ -327,8 +284,7 @@ TEST(SimdKernels, OddAssocAndMixedGeometryMatchOracle)
         Workload w(cpus, 7100 + static_cast<std::uint32_t>(cpus));
         for (StreamFilter filter :
              {StreamFilter::AppOnly, StreamFilter::Combined}) {
-            ResolvedTrace trace = w.rep.resolve(filter);
-            const ResolvedTraceSoA soa = toSoA(trace);
+            const ResolvedTraceSoA soa = w.rep.resolveSoA(filter);
             std::vector<ICacheReplayResult> oracle;
             for (const auto& c : configs)
                 oracle.push_back(w.rep.icache(c, filter));
@@ -357,6 +313,36 @@ TEST(SimdKernels, OddAssocAndMixedGeometryMatchOracle)
                 }
             }
         }
+    }
+}
+
+/**
+ * A geometry whose size is not a multiple of line x assoc (or is not a
+ * power of two) must panic, never replay garbage: every kernel checks
+ * its configs before walking a shard, and a shard that panics on a
+ * pool worker takes the process down the same way.
+ */
+TEST(SimdKernelsDeathTest, BadGeometryPanicsWithAndWithoutAPool)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    Workload w(2, 7200);
+    const ResolvedTraceSoA soa = w.rep.resolveSoA(StreamFilter::AppOnly);
+    const std::vector<mem::CacheConfig> bad = {{64 * 1024, 64, 1},
+                                               {1000, 64, 1}};
+    std::vector<SimdMode> modes{SimdMode::Scalar};
+    if (simdAvailable())
+        modes.push_back(SimdMode::Simd);
+    if (avx512Available())
+        modes.push_back(SimdMode::Avx512);
+    for (SimdMode mode : modes) {
+        EXPECT_DEATH((void)replayICache(soa, bad, mode, nullptr),
+                     "bad cache config");
+        EXPECT_DEATH(
+            {
+                support::ThreadPool pool(2);
+                (void)replayICache(soa, bad, mode, &pool);
+            },
+            "bad cache config");
     }
 }
 

@@ -1,4 +1,4 @@
-/** @file Tests for the worker-thread pool behind the sweep executor. */
+/** @file Tests for the worker-thread pool behind the replay engine. */
 
 #include <gtest/gtest.h>
 

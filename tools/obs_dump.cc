@@ -18,7 +18,7 @@
  * artifact against the schema its "bench" field names: for
  * "layout_search" every scalar metric, the objective-weight /
  * page-geometry / region-map sub-objects, and the re-rank curve and
- * sweep grid arrays; for "serving" the platform and service-time
+ * cache grid arrays; for "serving" the platform and service-time
  * summaries, the SLO spec, and every load point's base/opt latency +
  * SLO-verdict blocks (multi-tenant section included when present);
  * for "replay", "cachesim", "trace_io", and "obs" every headline
@@ -342,14 +342,11 @@ checkReplay(BenchChecker& c)
     const obs::JsonValue& doc = c.doc;
     for (const char* key :
          {"trace_events", "trace_cpus", "oracle_seconds",
-          "serial_fused_seconds", "serial_fused_resolve_seconds",
-          "serial_fused_replay_seconds", "parallel_fused_seconds",
-          "parallel_threads", "soa_scalar_seconds",
-          "soa_scalar_resolve_seconds", "soa_scalar_replay_seconds",
-          "fused_vs_per_config", "parallel_vs_serial_fused",
-          "end_to_end_speedup", "resolve_direct_seconds",
-          "resolve_transpose_seconds", "resolve_direct_speedup",
-          "icache_grid_configs", "icache_grid_aos_seconds",
+          "soa_scalar_seconds", "soa_scalar_resolve_seconds",
+          "soa_scalar_replay_seconds", "soa_parallel_seconds",
+          "parallel_threads", "soa_scalar_vs_per_config",
+          "parallel_vs_serial", "end_to_end_speedup",
+          "icache_grid_configs", "icache_grid_oracle_seconds",
           "icache_grid_soa_scalar_seconds",
           "icache_grid_scalar_speedup"})
         c.number(doc, "top level", key);
@@ -368,10 +365,11 @@ checkCachesim(BenchChecker& c)
     for (const char* key :
          {"trace_events", "configs", "line_accesses",
           "per_config_seconds", "per_config_accesses_per_sec",
-          "sweep_seconds", "sweep_accesses_per_sec", "sweep_speedup",
-          "jobs_serial_seconds", "jobs_parallel_seconds",
+          "column_serial_seconds", "column_serial_accesses_per_sec",
+          "column_serial_speedup", "column_parallel_seconds",
           "parallel_threads", "parallel_speedup"})
         c.number(doc, "top level", key);
+    c.string(doc, "top level", "simd_kernel");
     c.boolean(doc, "top level", "differential_ok");
 }
 

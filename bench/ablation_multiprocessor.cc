@@ -48,7 +48,7 @@ runCase(int num_cpus, std::uint64_t profile_txns,
         core::Layout layout =
             core::buildLayout(system.appProg(), profiles.app, opts);
         bench::BenchReplay rep(buf, layout, &kernel, pool);
-        auto h = rep.hierarchy(platform.hierarchy, true,
+        auto h = rep.hierarchy(platform.hierarchy,
                                /*model_coherence=*/true);
         return std::pair<std::uint64_t, std::uint64_t>(
             sim::nonIdleCycles(h.total, h.instrs, platform,

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <vector>
 
+#include "serve/service.hh"
 #include "sim/corpus.hh"
 #include "support/panic.hh"
 
@@ -452,15 +453,11 @@ runWorkload(int argc, char** argv, std::uint64_t profile_txns,
 }
 
 const sim::ResolvedTraceSoA&
-BenchReplay::resolved(sim::StreamFilter filter, bool include_data)
+BenchReplay::resolved(sim::StreamFilter filter)
 {
-    const auto key =
-        std::make_pair(static_cast<int>(filter), include_data);
-    auto it = resolved_.find(key);
+    auto it = resolved_.find(filter);
     if (it == resolved_.end())
-        it = resolved_
-                 .emplace(key, rep_.resolveSoA(filter, include_data))
-                 .first;
+        it = resolved_.emplace(filter, rep_.resolveSoA(filter)).first;
     return it->second;
 }
 
@@ -470,8 +467,8 @@ BenchReplay::icache(const mem::CacheConfig& config,
 {
     if (!parallel_)
         return rep_.icache(config, filter);
-    return sim::replayICache(resolved(filter, false), {&config, 1},
-                             simd_, pool_)[0];
+    return sim::replayICache(resolved(filter), {&config, 1}, simd_,
+                             pool_)[0];
 }
 
 std::vector<sim::ICacheReplayResult>
@@ -485,8 +482,7 @@ BenchReplay::icacheColumn(std::span<const mem::CacheConfig> configs,
             out.push_back(rep_.icache(config, filter));
         return out;
     }
-    return sim::replayICache(resolved(filter, false), configs, simd_,
-                             pool_);
+    return sim::replayICache(resolved(filter), configs, simd_, pool_);
 }
 
 mem::ThreeCStats
@@ -495,8 +491,8 @@ BenchReplay::threeCs(const mem::CacheConfig& config,
 {
     if (!parallel_)
         return rep_.threeCs(config, filter);
-    return sim::replayThreeCs(resolved(filter, false), {&config, 1},
-                              simd_, pool_)[0];
+    return sim::replayThreeCs(resolved(filter), {&config, 1}, simd_,
+                              pool_)[0];
 }
 
 std::vector<mem::ThreeCStats>
@@ -510,8 +506,7 @@ BenchReplay::threeCsColumn(std::span<const mem::CacheConfig> configs,
             out.push_back(rep_.threeCs(config, filter));
         return out;
     }
-    return sim::replayThreeCs(resolved(filter, false), configs, simd_,
-                              pool_);
+    return sim::replayThreeCs(resolved(filter), configs, simd_, pool_);
 }
 
 mem::StreamBufferStats
@@ -520,7 +515,7 @@ BenchReplay::streamBuffer(const mem::CacheConfig& config, int num_buffers,
 {
     if (!parallel_)
         return rep_.streamBuffer(config, num_buffers, filter);
-    return sim::replayStreamBuffer(resolved(filter, false), {&config, 1},
+    return sim::replayStreamBuffer(resolved(filter), {&config, 1},
                                    num_buffers, simd_, pool_)[0];
 }
 
@@ -530,7 +525,7 @@ BenchReplay::instrumented(const mem::CacheConfig& config,
 {
     if (!parallel_)
         return rep_.instrumented(config, filter, flush_at_end);
-    return sim::replayInstrumented(resolved(filter, false), {&config, 1},
+    return sim::replayInstrumented(resolved(filter), {&config, 1},
                                    flush_at_end, pool_)[0];
 }
 
@@ -551,36 +546,28 @@ BenchReplay::itlbColumn(std::span<const sim::ITlbSpec> specs,
             out.push_back(rep_.itlb(spec, filter));
         return out;
     }
-    return sim::replayITlb(resolved(filter, false), specs, simd_,
-                           pool_);
+    return sim::replayITlb(resolved(filter), specs, simd_, pool_);
 }
 
 sim::HierarchyReplayResult
 BenchReplay::hierarchy(const mem::HierarchyConfig& config,
-                       bool include_data, bool model_coherence)
+                       bool model_coherence)
 {
-    if (!parallel_)
-        return rep_.hierarchy(config, include_data, model_coherence);
-    return sim::replayHierarchy(
-        resolved(sim::StreamFilter::Combined, include_data), {&config, 1},
-        model_coherence, pool_)[0];
+    return hierarchyColumn({&config, 1}, model_coherence)[0];
 }
 
 std::vector<sim::HierarchyReplayResult>
 BenchReplay::hierarchyColumn(std::span<const mem::HierarchyConfig> configs,
-                             bool include_data, bool model_coherence)
+                             bool model_coherence)
 {
-    if (!parallel_) {
-        std::vector<sim::HierarchyReplayResult> out;
-        out.reserve(configs.size());
-        for (const mem::HierarchyConfig& config : configs)
-            out.push_back(
-                rep_.hierarchy(config, include_data, model_coherence));
-        return out;
-    }
-    return sim::replayHierarchy(
-        resolved(sim::StreamFilter::Combined, include_data), configs,
-        model_coherence, pool_);
+    std::vector<sim::HierarchyReplayResult> out;
+    out.reserve(configs.size());
+    for (const mem::HierarchyConfig& config : configs)
+        out.push_back(parallel_
+                          ? serviceHierarchy(rep_, config, model_coherence,
+                                             pool_->numThreads())
+                          : rep_.hierarchy(config, true, model_coherence));
+    return out;
 }
 
 metrics::SequenceStats
@@ -598,7 +585,7 @@ BenchReplay::sequence(sim::StreamFilter filter)
                                               *rep_.kernel(),
                                               trace::ImageId::Kernel);
     }
-    return sim::replaySequence(resolved(filter, false), pool_);
+    return sim::replaySequence(resolved(filter), pool_);
 }
 
 std::uint64_t
@@ -606,7 +593,26 @@ BenchReplay::dynamicInstrs(sim::StreamFilter filter)
 {
     if (!parallel_)
         return rep_.dynamicInstrs(filter);
-    return resolved(filter, false).instrs;
+    return resolved(filter).instrs;
+}
+
+sim::HierarchyReplayResult
+serviceHierarchy(const sim::Replayer& rep,
+                 const mem::HierarchyConfig& config, bool model_coherence,
+                 int workers)
+{
+    serve::ServiceModelConfig smc;
+    smc.platform.hierarchy = config;
+    const serve::ServiceModel model = serve::detail::serviceModel(
+        rep.trace(), rep.app(), rep.kernel(), smc, workers);
+    sim::HierarchyReplayResult out;
+    out.total = model.stats().mem;
+    out.instrs = model.stats().instrs;
+    out.fetch_breaks = model.stats().fetch_breaks;
+    if (model_coherence)
+        out.total.comm_misses =
+            sim::commMisses(rep.trace(), config.l1d.line_bytes);
+    return out;
 }
 
 std::uint64_t

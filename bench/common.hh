@@ -265,12 +265,13 @@ struct Workload
  * replayed either by the scalar per-config Replayer walks (no pool —
  * the differential oracle path) or by the parallel replay engine over
  * a per-CPU-partitioned structure-of-arrays trace (sim/soa.hh) cached
- * per (filter, data) key. Both paths produce bit-identical results
+ * per stream filter. Both paths produce bit-identical results
  * (sim/engine.hh), so every bench table is byte-identical across
  * `--threads` and `--simd` settings; the engine path resolves the
- * trace straight into its SoA columns once per key
- * (Replayer::resolveSoA — no transpose) and fuses all configurations
- * of a column into one walk through the SoA replay kernels.
+ * trace straight into its SoA columns once per filter
+ * (Replayer::resolveSoA) and fuses all configurations of a column into
+ * one walk through the SoA replay kernels. Full hierarchies (with data
+ * refs) take the other production walk, serviceHierarchy below.
  */
 class BenchReplay
 {
@@ -328,12 +329,13 @@ class BenchReplay
     itlbColumn(std::span<const sim::ITlbSpec> specs,
                sim::StreamFilter filter);
 
+    /** Full hierarchy with data refs: serviceHierarchy per config on
+     *  the pool's width, Replayer::hierarchy on the oracle path. */
     sim::HierarchyReplayResult
-    hierarchy(const mem::HierarchyConfig& config, bool include_data = true,
+    hierarchy(const mem::HierarchyConfig& config,
               bool model_coherence = false);
     std::vector<sim::HierarchyReplayResult>
     hierarchyColumn(std::span<const mem::HierarchyConfig> configs,
-                    bool include_data = true,
                     bool model_coherence = false);
 
     /** Figure 8 run lengths for one image's stream (AppOnly or
@@ -343,15 +345,27 @@ class BenchReplay
     std::uint64_t dynamicInstrs(sim::StreamFilter filter);
 
   private:
-    const sim::ResolvedTraceSoA& resolved(sim::StreamFilter filter,
-                                          bool include_data);
+    const sim::ResolvedTraceSoA& resolved(sim::StreamFilter filter);
 
     sim::Replayer rep_;
     support::ThreadPool* pool_;
     bool parallel_;
     sim::SimdMode simd_ = sim::SimdMode::Auto;
-    std::map<std::pair<int, bool>, sim::ResolvedTraceSoA> resolved_;
+    std::map<sim::StreamFilter, sim::ResolvedTraceSoA> resolved_;
 };
+
+/**
+ * Full-hierarchy replay with data refs (Figures 14-15) on the
+ * production walk: a solo serve::ServiceModel over the replayer's trace
+ * and layouts, sharded by simulated CPU on at most `workers` host
+ * threads, plus sim::commMisses at the L1D line size when
+ * `model_coherence` is set. Bit-identical to
+ * Replayer::hierarchy(config, true, model_coherence) at every width.
+ */
+sim::HierarchyReplayResult
+serviceHierarchy(const sim::Replayer& rep,
+                 const mem::HierarchyConfig& config, bool model_coherence,
+                 int workers);
 
 /**
  * Misses of the (size, line, assoc) configuration in a column that

@@ -15,6 +15,11 @@
  *   soa avx2 / avx512   soa scalar with the vector kernels (when
  *                       runnable here)
  *
+ * The full hierarchies need the data stream, which the SoA columns do
+ * not carry: on the soa paths they run on the production hierarchy
+ * walk (bench::serviceHierarchy, the solo serve::ServiceModel) on one
+ * host thread, or on the pool's width for soa parallel.
+ *
  * All paths must produce bit-identical results (the process exits
  * non-zero on any divergence, which is what the ctest smokes check —
  * bench_micro_replay_smoke with default dispatch,
@@ -177,7 +182,6 @@ runSuite(const sim::Replayer& rep, SuitePath path, sim::SimdMode mode,
         r.replay_seconds = seconds(t0, clock::now());
     } else {
         sim::ResolvedTraceSoA instr = rep.resolveSoA(filter);
-        sim::ResolvedTraceSoA with_data = rep.resolveSoA(filter, true);
         sim::ResolvedTraceSoA app_only =
             rep.resolveSoA(sim::StreamFilter::AppOnly);
         const auto t1 = clock::now();
@@ -188,7 +192,9 @@ runSuite(const sim::Replayer& rep, SuitePath path, sim::SimdMode mode,
                                          mode, pool);
         r.words = sim::replayInstrumented(instr, wcfg, false, pool);
         r.itlb = sim::replayITlb(instr, specs, mode, pool);
-        r.hier = sim::replayHierarchy(with_data, hcfg, true, pool);
+        for (const auto& h : hcfg)
+            r.hier.push_back(bench::serviceHierarchy(
+                rep, h, true, pool != nullptr ? pool->numThreads() : 1));
         r.seq = sim::replaySequence(app_only, pool);
         r.dyn_instrs = instr.instrs;
         r.replay_seconds = seconds(t1, clock::now());
@@ -317,11 +323,6 @@ compareSuites(const SuiteResults& a, const SuiteResults& b,
         const auto& x = a.hier[i];
         const auto& y = b.hier[i];
         check(sameStats(x.total, y.total), "hierarchy totals");
-        check(x.per_cpu.size() == y.per_cpu.size(),
-              "hierarchy per-cpu count");
-        for (std::size_t c = 0; c < x.per_cpu.size(); ++c)
-            check(sameStats(x.per_cpu[c], y.per_cpu[c]),
-                  "hierarchy per-cpu stats");
         check(x.instrs == y.instrs && x.fetch_breaks == y.fetch_breaks,
               "hierarchy instrs/fetch_breaks");
     }
@@ -388,18 +389,14 @@ writeResults(const std::string& path, const SuiteResults& r)
            << r.itlb[i].misses << '\n';
     for (std::size_t i = 0; i < r.hier.size(); ++i) {
         const auto& x = r.hier[i];
-        auto stats = [&](const char* what, const mem::HierarchyStats& s) {
-            os << what << ": " << s.l1i.accesses << ' ' << s.l1i.misses
-               << ' ' << s.l1d.accesses << ' ' << s.l1d.misses << ' '
-               << s.l2i.accesses << ' ' << s.l2i.misses << ' '
-               << s.l2d.accesses << ' ' << s.l2d.misses << ' '
-               << s.itlb_misses << ' ' << s.comm_misses << '\n';
-        };
+        const mem::HierarchyStats& s = x.total;
         os << "hier[" << i << "] instrs: " << x.instrs
-           << " fetch_breaks: " << x.fetch_breaks << '\n';
-        stats("hier total", x.total);
-        for (std::size_t c = 0; c < x.per_cpu.size(); ++c)
-            stats("hier cpu", x.per_cpu[c]);
+           << " fetch_breaks: " << x.fetch_breaks << '\n'
+           << "hier total: " << s.l1i.accesses << ' ' << s.l1i.misses
+           << ' ' << s.l1d.accesses << ' ' << s.l1d.misses << ' '
+           << s.l2i.accesses << ' ' << s.l2i.misses << ' '
+           << s.l2d.accesses << ' ' << s.l2d.misses << ' '
+           << s.itlb_misses << ' ' << s.comm_misses << '\n';
     }
     hist("seq_lengths", 0, r.seq.lengths);
     os << "seq_mean: " << r.seq.mean << '\n'

@@ -110,8 +110,6 @@ walkCpu(std::uint8_t cpu, std::span<const trace::TraceEvent> events,
             for (std::size_t i = seg_begin; i < seg_end; ++i) {
                 const trace::TraceEvent& e = events[i];
                 if (e.image == trace::ImageId::Data) {
-                    if (!config.include_data)
-                        continue;
                     const std::uint64_t line =
                         (static_cast<std::uint64_t>(e.block) << 2) &
                         ~(dline - 1);

@@ -18,11 +18,16 @@
  * model needs the same quantity *per transaction*, because queueing
  * delay under open-loop load depends on the service-time distribution,
  * not just its mean. The walk here replays the recorded trace through
- * the same per-CPU hierarchy simulation as Replayer::hierarchy, but
- * attributes every miss penalty and instruction cycle to the
- * transaction segment being executed, yielding one service time per
- * transaction per layout — the bridge from "layout saves misses" to
- * "layout moves p99".
+ * the same per-CPU hierarchy simulation as Replayer::hierarchy (its
+ * differential oracle), but attributes every miss penalty and
+ * instruction cycle to the transaction segment being executed,
+ * yielding one service time per transaction per layout — the bridge
+ * from "layout saves misses" to "layout moves p99".
+ *
+ * It is also the one production hierarchy walk: a solo model's stats()
+ * (tenants = 1) are the whole-trace hierarchy counters the Figure 14
+ * and 15 benches report, and sim::commMisses adds the coherence count
+ * the per-CPU walk cannot see.
  *
  * Transaction boundaries come from the trace itself: the system issues
  * every transaction on the next server process round-robin
@@ -57,8 +62,6 @@ struct ServiceModelConfig
     sim::PlatformParams platform = sim::PlatformParams::sim21364();
     /** Engine instances sharing each CPU's L2 + iTLB (1 = solo). */
     int tenants = 1;
-    /** Replay data references into the hierarchy (like fig15). */
-    bool include_data = true;
 };
 
 /** Distribution summary over the per-request service times. */

@@ -1,9 +1,7 @@
 #include "sim/engine.hh"
 
 #include <algorithm>
-#include <unordered_map>
 
-#include "mem/itlb.hh"
 #include "obs/registry.hh"
 #include "obs/tracing.hh"
 #include "support/panic.hh"
@@ -11,9 +9,6 @@
 namespace spikesim::sim {
 
 namespace {
-
-constexpr std::uint8_t kOwnerDataByte =
-    static_cast<std::uint8_t>(mem::Owner::Data);
 
 /** Refs in CPU `cpu`'s slice of the columns. */
 std::size_t
@@ -91,8 +86,8 @@ struct InstrPartial
 
 // The i-cache, three-C, iTLB, and stream-buffer families dispatch into
 // the throughput kernels (sim/kernels.hh), which replace the simulator
-// objects with flat grouped tables. The instrumented, hierarchy, and
-// sequence families walk the columns through their simulator objects.
+// objects with flat grouped tables. The instrumented and sequence
+// families walk the columns through their simulator objects.
 
 std::vector<ICacheReplayResult>
 replayICache(const ResolvedTraceSoA& soa,
@@ -301,112 +296,6 @@ replayITlb(const ResolvedTraceSoA& soa, std::span<const ITlbSpec> specs,
     return out;
 }
 
-std::vector<HierarchyReplayResult>
-replayHierarchy(const ResolvedTraceSoA& soa,
-                std::span<const mem::HierarchyConfig> configs,
-                bool model_coherence, support::ThreadPool* pool)
-{
-    const std::size_t n_cfg = configs.size();
-    const std::size_t n_cpu = static_cast<std::size_t>(soa.num_cpus);
-    std::vector<mem::HierarchyStats> partial(n_cfg * n_cpu);
-    std::vector<std::uint64_t> instrs_cpu(n_cpu, 0);
-    std::vector<std::uint64_t> breaks_cpu(n_cpu, 0);
-    std::vector<std::uint64_t> comm(n_cfg, 0);
-
-    // The coherence map is the one piece of cross-CPU state: line
-    // migration counting needs the *global* data-event order. It is
-    // independent of every cache, so it runs as its own pass per
-    // config over data_refs — sharded by config, exact by order.
-    if (model_coherence && !soa.data_refs.empty()) {
-        auto coherence = [&](std::size_t k) {
-            const std::uint64_t dline = configs[k].l1d.line_bytes;
-            std::unordered_map<std::uint64_t, std::uint8_t> data_owner;
-            std::uint64_t misses = 0;
-            for (const ResolvedDataRef& d : soa.data_refs) {
-                const std::uint64_t line = d.addr & ~(dline - 1);
-                auto [it, fresh] = data_owner.try_emplace(line, d.cpu);
-                if (!fresh && it->second != d.cpu) {
-                    ++misses;
-                    it->second = d.cpu;
-                }
-            }
-            comm[k] = misses;
-        };
-        if (pool == nullptr) {
-            for (std::size_t k = 0; k < n_cfg; ++k)
-                coherence(k);
-        } else {
-            // Copy the lambda: it dies with this block, but the tasks
-            // may still be queued (its captures all outlive the wait).
-            for (std::size_t k = 0; k < n_cfg; ++k)
-                pool->submit([coherence, k] { coherence(k); });
-            // forEachShard's wait() below is the barrier for these too.
-        }
-    }
-
-    forEachShard(soa, n_cfg, pool,
-                 [&](int cpu, std::size_t k0, std::size_t k1) {
-        std::vector<mem::MemoryHierarchy> cpus;
-        cpus.reserve(k1 - k0);
-        for (std::size_t k = k0; k < k1; ++k)
-            cpus.emplace_back(configs[k]);
-        std::uint64_t expected = ~0ULL;
-        std::uint64_t instrs = 0;
-        std::uint64_t breaks = 0;
-        const auto [begin, end_i] = soa.cpuRange(cpu);
-        for (std::size_t i = begin; i < end_i; ++i) {
-            const std::uint64_t addr = soa.addr[i];
-            if (soa.owner[i] == kOwnerDataByte) {
-                for (std::size_t k = k0; k < k1; ++k) {
-                    const std::uint64_t dline =
-                        configs[k].l1d.line_bytes;
-                    cpus[k - k0].dataLine(addr & ~(dline - 1));
-                }
-                continue;
-            }
-            const std::uint64_t end = addr + soa.bytes[i];
-            instrs += soa.bytes[i] / program::kInstrBytes;
-            if (addr != expected)
-                ++breaks;
-            expected = end;
-            const mem::Owner owner =
-                static_cast<mem::Owner>(soa.owner[i]);
-            for (std::size_t k = k0; k < k1; ++k) {
-                const std::uint64_t iline = configs[k].l1i.line_bytes;
-                mem::MemoryHierarchy& h = cpus[k - k0];
-                for (std::uint64_t a = addr & ~(iline - 1); a < end;
-                     a += iline)
-                    h.fetchLine(a, owner);
-            }
-        }
-        for (std::size_t k = k0; k < k1; ++k)
-            partial[k * n_cpu + static_cast<std::size_t>(cpu)] =
-                cpus[k - k0].stats();
-        // instrs/fetch_breaks are config-independent; only the chunk
-        // that owns config 0 writes them, so split chunks don't race.
-        if (k0 == 0) {
-            instrs_cpu[static_cast<std::size_t>(cpu)] = instrs;
-            breaks_cpu[static_cast<std::size_t>(cpu)] = breaks;
-        }
-    });
-
-    std::vector<HierarchyReplayResult> out(n_cfg);
-    for (std::size_t k = 0; k < n_cfg; ++k) {
-        out[k].total.comm_misses = comm[k];
-        out[k].per_cpu.reserve(n_cpu);
-        for (std::size_t c = 0; c < n_cpu; ++c) {
-            const mem::HierarchyStats& s = partial[k * n_cpu + c];
-            out[k].per_cpu.push_back(s);
-            out[k].total += s;
-        }
-        for (std::size_t c = 0; c < n_cpu; ++c) {
-            out[k].instrs += instrs_cpu[c];
-            out[k].fetch_breaks += breaks_cpu[c];
-        }
-    }
-    return out;
-}
-
 metrics::SequenceStats
 replaySequence(const ResolvedTraceSoA& soa, support::ThreadPool* pool)
 {
@@ -428,8 +317,6 @@ replaySequence(const ResolvedTraceSoA& soa, support::ThreadPool* pool)
         };
         const auto [begin, end_i] = soa.cpuRange(cpu);
         for (std::size_t i = begin; i < end_i; ++i) {
-            if (soa.owner[i] == kOwnerDataByte)
-                continue;
             const std::uint64_t addr = soa.addr[i];
             if ((soa.flags[i] & kRefRunBreak) != 0 || addr != expected)
                 close_run();

@@ -36,11 +36,9 @@
  *    is merged in CPU order with the oracle's exact operation
  *    sequence.
  *
- * The single exception is the hierarchy coherence map (data_owner):
- * line-migration counting depends on the *global* order of data events
- * across CPUs. It is also independent of all cache state, so it runs
- * as its own sharded pass per configuration over
- * ResolvedTraceSoA::data_refs, which preserves that global order.
+ * The full hierarchy (Figures 14-15) is not replayed here: it needs
+ * the data stream, which a resolved trace does not carry, and its one
+ * production walk is serve::ServiceModel over the raw trace.
  *
  * The i-cache, three-C, iTLB, and stream-buffer families route through
  * the throughput kernels of sim/kernels.hh and accept a SimdMode (the
@@ -86,20 +84,6 @@ std::vector<ITlbReplayResult>
 replayITlb(const ResolvedTraceSoA& soa, std::span<const ITlbSpec> specs,
            SimdMode mode = SimdMode::Auto,
            support::ThreadPool* pool = nullptr);
-
-/**
- * Full-hierarchy replay per config. Data lines are replayed when the
- * trace was resolved with include_data (each CPU's slice interleaves
- * its data refs with its instruction refs in trace order — a CPU's
- * private L2 sees exactly that stream). With model_coherence, the
- * communication-miss count runs as a separate per-config pass over the
- * global-order data_refs (see the file comment).
- */
-std::vector<HierarchyReplayResult>
-replayHierarchy(const ResolvedTraceSoA& soa,
-                std::span<const mem::HierarchyConfig> configs,
-                bool model_coherence = false,
-                support::ThreadPool* pool = nullptr);
 
 /**
  * Sequential-run-length analysis (Figure 8) from a resolved trace:

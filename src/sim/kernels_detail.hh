@@ -274,9 +274,6 @@ runIcacheShardImpl(const IcacheShard& sh)
             __builtin_prefetch(addrs + i + kRefPrefetch);
             __builtin_prefetch(sizes + i + kRefPrefetch);
         }
-        if (owners[i] ==
-            static_cast<std::uint8_t>(mem::Owner::Data))
-            continue;
         const unsigned m =
             owners[i] == static_cast<std::uint8_t>(mem::Owner::App)
                 ? 0u
@@ -667,15 +664,12 @@ runThreeCShardImpl(const ThreeCShard& sh)
     const auto [begin, end] = soa.cpuRange(sh.cpu);
     const std::uint64_t* addrs = soa.addr.data();
     const std::uint32_t* sizes = soa.bytes.data();
-    const std::uint8_t* owners = soa.owner.data();
 
     for (std::size_t i = begin; i < end; ++i) {
         if (i + kRefPrefetch < end) {
             __builtin_prefetch(addrs + i + kRefPrefetch);
             __builtin_prefetch(sizes + i + kRefPrefetch);
         }
-        if (owners[i] == static_cast<std::uint8_t>(mem::Owner::Data))
-            continue;
         const std::uint64_t addr = addrs[i];
         const std::uint64_t last_byte = addr + sizes[i] - 1;
         for (ThreeCGroup& g : groups) {
@@ -817,15 +811,12 @@ runITlbShardImpl(const ITlbShard& sh)
     const auto [begin, end] = soa.cpuRange(sh.cpu);
     const std::uint64_t* addrs = soa.addr.data();
     const std::uint32_t* sizes = soa.bytes.data();
-    const std::uint8_t* owners = soa.owner.data();
 
     for (std::size_t i = begin; i < end; ++i) {
         if (i + kRefPrefetch < end) {
             __builtin_prefetch(addrs + i + kRefPrefetch);
             __builtin_prefetch(sizes + i + kRefPrefetch);
         }
-        if (owners[i] == static_cast<std::uint8_t>(mem::Owner::Data))
-            continue;
         const std::uint64_t addr = addrs[i];
         const std::uint64_t last_byte = addr + sizes[i] - 1;
         for (ITlbGroup& g : groups) {
@@ -1052,15 +1043,12 @@ runInstrShardImpl(const InstrShard& sh)
     const auto [begin, end] = soa.cpuRange(sh.cpu);
     const std::uint64_t* addrs = soa.addr.data();
     const std::uint32_t* sizes = soa.bytes.data();
-    const std::uint8_t* owners = soa.owner.data();
 
     for (std::size_t i = begin; i < end; ++i) {
         if (i + kRefPrefetch < end) {
             __builtin_prefetch(addrs + i + kRefPrefetch);
             __builtin_prefetch(sizes + i + kRefPrefetch);
         }
-        if (owners[i] == static_cast<std::uint8_t>(mem::Owner::Data))
-            continue;
         const std::uint64_t addr = addrs[i];
         const std::uint32_t words = sizes[i] / 4;
         for (InstrGroup& g : groups) {
@@ -1206,15 +1194,12 @@ runStreamBufShardImpl(const StreamBufShard& sh)
     const auto [begin, end] = soa.cpuRange(sh.cpu);
     const std::uint64_t* addrs = soa.addr.data();
     const std::uint32_t* sizes = soa.bytes.data();
-    const std::uint8_t* owners = soa.owner.data();
 
     for (std::size_t i = begin; i < end; ++i) {
         if (i + kRefPrefetch < end) {
             __builtin_prefetch(addrs + i + kRefPrefetch);
             __builtin_prefetch(sizes + i + kRefPrefetch);
         }
-        if (owners[i] == static_cast<std::uint8_t>(mem::Owner::Data))
-            continue;
         const std::uint64_t addr = addrs[i];
         const std::uint64_t last_byte = addr + sizes[i] - 1;
         for (StreamBufGroup& g : groups) {

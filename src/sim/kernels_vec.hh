@@ -422,8 +422,6 @@ runIcacheShardRuns(const IcacheShard& sh)
     const std::uint64_t* addrs = soa.addr.data();
     const std::uint32_t* sizes = soa.bytes.data();
     const std::uint8_t* owners = soa.owner.data();
-    const std::uint8_t data8 =
-        static_cast<std::uint8_t>(mem::Owner::Data);
     const std::uint8_t app8 = static_cast<std::uint8_t>(mem::Owner::App);
 
     std::vector<DmSpanCursor> dmspans;
@@ -446,10 +444,6 @@ runIcacheShardRuns(const IcacheShard& sh)
         if (i + kRefPrefetch < end) {
             __builtin_prefetch(addrs + i + kRefPrefetch);
             __builtin_prefetch(sizes + i + kRefPrefetch);
-        }
-        if (owners[i] == data8) {
-            ++i;
-            continue;
         }
         const std::uint8_t own8 = owners[i];
         const unsigned m = own8 == app8 ? 0u : 1u;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "obs/tracing.hh"
 #include "sim/soa.hh"
 #include "support/panic.hh"
 #include "support/threadpool.hh"
@@ -146,7 +147,6 @@ struct ChunkCounts
 {
     std::vector<std::size_t> refs;
     std::vector<BreakState> brk;
-    std::size_t data = 0;
     std::uint64_t instr_events = 0;
     std::uint64_t instrs = 0;
 };
@@ -154,30 +154,31 @@ struct ChunkCounts
 } // namespace
 
 ResolvedTraceSoA
-Replayer::resolveSoA(StreamFilter filter, bool include_data) const
+Replayer::resolveSoA(StreamFilter filter) const
 {
+    obs::Span span("replay.resolve", "sim");
     const std::size_t workers =
         static_cast<std::size_t>(support::ThreadPool::defaultThreads());
     const std::size_t chunks = std::clamp<std::size_t>(
         trace_.size() / kMinChunkEvents, 1, workers * kChunksPerWorker);
-    return detail::resolveSoA(*this, filter, include_data, chunks);
+    return detail::resolveSoA(*this, filter, chunks);
 }
 
 /**
  * Two passes over `chunks` contiguous event ranges, each pass sharded
  * across a call-local pool. Pass 1 counts, per (chunk, CPU), the refs a
  * chunk emits and the run-break state it leaves, plus the chunk's
- * data-event and instruction totals. An exclusive prefix over the
- * chunks (in trace order) then gives every chunk its write cursor in
- * each CPU slice, the kRefRunBreak it inherits on each CPU, and its
- * offset into data_refs. Pass 2 writes every column slot by index.
+ * instruction totals. An exclusive prefix over the chunks (in trace
+ * order) then gives every chunk its write cursor in each CPU slice and
+ * the kRefRunBreak it inherits on each CPU. Pass 2 writes every column
+ * slot by index.
  * Each ref lands at the position and with the flag the serial
  * cursor walk would give it, so the output is independent of the chunk
  * count and of scheduling.
  */
 ResolvedTraceSoA
 detail::resolveSoA(const Replayer& rep, StreamFilter filter,
-                   bool include_data, std::size_t chunks)
+                   std::size_t chunks)
 {
     SPIKESIM_ASSERT(chunks >= 1, "resolve needs at least one chunk");
     const std::vector<TraceEvent>& events = rep.trace().events();
@@ -197,18 +198,12 @@ detail::resolveSoA(const Replayer& rep, StreamFilter filter,
     support::ThreadPool::forEachShard(chunks, [&](std::size_t k) {
         std::vector<std::size_t> refs(n_cpus, 0);
         std::vector<BreakState> brk(n_cpus, BreakState::None);
-        std::size_t data = 0;
         std::uint64_t instr_events = 0;
         std::uint64_t instrs = 0;
         for (std::size_t i = chunkBegin(k); i < chunkBegin(k + 1); ++i) {
             const TraceEvent& e = events[i];
-            if (e.image == ImageId::Data) {
-                if (include_data) {
-                    ++refs[e.cpu];
-                    ++data;
-                }
+            if (e.image == ImageId::Data)
                 continue;
-            }
             if (!wantImage(filter, e.image)) {
                 brk[e.cpu] = BreakState::Set;
                 continue;
@@ -227,8 +222,7 @@ detail::resolveSoA(const Replayer& rep, StreamFilter filter,
                 brk[e.cpu] = BreakState::Cleared;
             }
         }
-        counts[k] = {std::move(refs), std::move(brk), data, instr_events,
-                     instrs};
+        counts[k] = {std::move(refs), std::move(brk), instr_events, instrs};
     });
 
     // Exclusive prefix over chunks in trace order.
@@ -236,10 +230,8 @@ detail::resolveSoA(const Replayer& rep, StreamFilter filter,
     out.num_cpus = rep.numCpus();
     std::vector<std::size_t> cursor(chunks * n_cpus);
     std::vector<std::uint8_t> carry(chunks * n_cpus);
-    std::vector<std::size_t> data_at(chunks);
     std::vector<std::size_t> slice(n_cpus, 0);
     std::vector<std::uint8_t> pending(n_cpus, 0);
-    std::size_t n_data = 0;
     for (std::size_t k = 0; k < chunks; ++k) {
         const ChunkCounts& cc = counts[k];
         for (std::size_t c = 0; c < n_cpus; ++c) {
@@ -251,8 +243,6 @@ detail::resolveSoA(const Replayer& rep, StreamFilter filter,
             else if (cc.brk[c] == BreakState::Cleared)
                 pending[c] = 0;
         }
-        data_at[k] = n_data;
-        n_data += cc.data;
         out.instr_events += cc.instr_events;
         out.instrs += cc.instrs;
     }
@@ -267,36 +257,22 @@ detail::resolveSoA(const Replayer& rep, StreamFilter filter,
     out.bytes.resize(total);
     out.owner.resize(total);
     out.flags.resize(total);
-    out.data_refs.resize(n_data);
 
     // Pass 2: fill. A per-CPU cursor walk in trace order, started from
     // the chunk's cursors and carried-in run breaks, writing ~14 bytes
     // per ref straight into the four column slices. A block event of a
     // filtered-out image marks a pending run break on its CPU (the
-    // fetch unit was taken by the other stream); data events never
-    // break runs.
+    // fetch unit was taken by the other stream); data events are
+    // skipped and never break runs.
     support::ThreadPool::forEachShard(chunks, [&](std::size_t k) {
         std::vector<std::size_t> cur(cursor.begin() + k * n_cpus,
                                      cursor.begin() + (k + 1) * n_cpus);
         std::vector<std::uint8_t> brk(carry.begin() + k * n_cpus,
                                       carry.begin() + (k + 1) * n_cpus);
-        std::size_t d = data_at[k];
         for (std::size_t i = chunkBegin(k); i < chunkBegin(k + 1); ++i) {
             const TraceEvent& e = events[i];
-            if (e.image == ImageId::Data) {
-                if (include_data) {
-                    const std::uint64_t addr =
-                        static_cast<std::uint64_t>(e.block) << 2;
-                    const std::size_t j = cur[e.cpu]++;
-                    out.addr[j] = addr;
-                    out.bytes[j] = 4;
-                    out.owner[j] =
-                        static_cast<std::uint8_t>(mem::Owner::Data);
-                    out.flags[j] = 0;
-                    out.data_refs[d++] = {addr, e.cpu};
-                }
+            if (e.image == ImageId::Data)
                 continue;
-            }
             if (!wantImage(filter, e.image)) {
                 brk[e.cpu] = kRefRunBreak;
                 continue;
@@ -448,8 +424,6 @@ HierarchyReplayResult
 Replayer::hierarchy(const mem::HierarchyConfig& config,
                     bool include_data, bool model_coherence) const
 {
-    // line -> last CPU that touched it (coherence model).
-    std::unordered_map<std::uint64_t, std::uint8_t> data_owner;
     HierarchyReplayResult result;
     std::vector<mem::MemoryHierarchy> cpus;
     cpus.reserve(static_cast<std::size_t>(num_cpus_));
@@ -462,21 +436,10 @@ Replayer::hierarchy(const mem::HierarchyConfig& config,
         static_cast<std::size_t>(num_cpus_), ~0ULL);
     for (const TraceEvent& e : trace_.events()) {
         if (e.image == ImageId::Data) {
-            if (include_data) {
-                std::uint64_t line =
+            if (include_data)
+                cpus[e.cpu].dataLine(
                     (static_cast<std::uint64_t>(e.block) << 2) &
-                    ~(dline - 1);
-                if (model_coherence) {
-                    auto [it, fresh] = data_owner.try_emplace(line,
-                                                              e.cpu);
-                    if (!fresh && it->second != e.cpu) {
-                        // The line migrates: remote dirty copy.
-                        ++result.total.comm_misses;
-                        it->second = e.cpu;
-                    }
-                }
-                cpus[e.cpu].dataLine(line);
-            }
+                    ~(dline - 1));
             continue;
         }
         const core::Layout& layout = layoutFor(e.image, app_, kernel_);
@@ -494,11 +457,34 @@ Replayer::hierarchy(const mem::HierarchyConfig& config,
         for (std::uint64_t a = addr & ~(iline - 1); a < end; a += iline)
             h.fetchLine(a, owner);
     }
-    for (auto& h : cpus) {
-        result.per_cpu.push_back(h.stats());
+    for (const mem::MemoryHierarchy& h : cpus)
         result.total += h.stats();
-    }
+    if (include_data && model_coherence)
+        result.total.comm_misses =
+            commMisses(trace_, config.l1d.line_bytes);
     return result;
+}
+
+std::uint64_t
+commMisses(const trace::TraceBuffer& trace, std::uint32_t line_bytes)
+{
+    // line -> last CPU that touched it.
+    std::unordered_map<std::uint64_t, std::uint8_t> owner;
+    std::uint64_t misses = 0;
+    const std::uint64_t line = line_bytes;
+    for (const TraceEvent& e : trace.events()) {
+        if (e.image != ImageId::Data)
+            continue;
+        auto [it, fresh] = owner.try_emplace(
+            (static_cast<std::uint64_t>(e.block) << 2) & ~(line - 1),
+            e.cpu);
+        if (!fresh && it->second != e.cpu) {
+            // The line migrates: remote dirty copy.
+            ++misses;
+            it->second = e.cpu;
+        }
+    }
+    return misses;
 }
 
 std::uint64_t

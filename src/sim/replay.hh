@@ -1,8 +1,8 @@
 #ifndef SPIKESIM_SIM_REPLAY_HH
 #define SPIKESIM_SIM_REPLAY_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "core/layout.hh"
 #include "mem/cache.hh"
@@ -35,15 +35,6 @@ enum class StreamFilter {
  *  CPU's fetch unit since the previous ref — a filtered-out kernel
  *  entry breaks a sequential run even when the addresses abut. */
 inline constexpr std::uint8_t kRefRunBreak = 1;
-
-/** One data reference, kept in global trace order: the coherence model
- *  (Replayer::hierarchy with model_coherence) depends on the cross-CPU
- *  interleaving of data events, unlike every cache simulator. */
-struct ResolvedDataRef
-{
-    std::uint64_t addr = 0; ///< byte address of the referenced word
-    std::uint8_t cpu = 0;
-};
 
 /** A trace resolved through one layout pair into per-CPU columns;
  *  defined in sim/soa.hh. */
@@ -112,7 +103,6 @@ using ITlbReplayResult = support::AccessStats;
 struct HierarchyReplayResult
 {
     mem::HierarchyStats total;
-    std::vector<mem::HierarchyStats> per_cpu;
     std::uint64_t instrs = 0; ///< dynamic instructions replayed
     /** Fetch discontinuities (taken control transfers): each costs a
      *  fetch bubble on an in-order front end. */
@@ -155,21 +145,18 @@ class Replayer
      * Resolve the filtered trace through the layouts once, into the
      * per-CPU columns every sim::replay* family consumes (see
      * ResolvedTraceSoA). Zero-sized blocks are dropped from the refs
-     * but still counted in instr_events/instrs. Data events are dropped
-     * unless `include_data` is set, in which case they appear both in
-     * the per-CPU slices (owner == Data) and in data_refs in global
-     * order. Every column and data_refs is sized exactly from a
-     * counting pass (no growth reallocation). Both passes run
-     * chunk-parallel on a call-local pool sized by the process's CPU
-     * affinity; the output does not depend on the chunk count (see
-     * detail::resolveSoA). The per-config walks above and below read
-     * the raw trace and are the differential oracles of every replay
-     * over these columns. Panics with "block id out of range" before
-     * writing any column if an event names a block the layout does not
-     * have.
+     * but still counted in instr_events/instrs; data events are
+     * dropped. Every column is sized exactly from a counting pass (no
+     * growth reallocation). Both passes run chunk-parallel on a
+     * call-local pool sized by the process's CPU affinity, inside a
+     * "replay.resolve" trace span; the output does not depend on the
+     * chunk count (see detail::resolveSoA). The per-config walks above
+     * and below read the raw trace and are the differential oracles of
+     * every replay over these columns. Panics with "block id out of
+     * range" before writing any column if an event names a block the
+     * layout does not have.
      */
-    ResolvedTraceSoA resolveSoA(StreamFilter filter,
-                                bool include_data = false) const;
+    ResolvedTraceSoA resolveSoA(StreamFilter filter) const;
 
     /** Word-granular instrumented replay (histograms merged over
      *  CPUs). */
@@ -195,10 +182,11 @@ class Replayer
     /**
      * Full hierarchy replay: instruction lines + data lines through
      * L1s and the unified L2 (always the combined stream). With
-     * `model_coherence` set, data lines touched by multiple CPUs incur
-     * communication misses (TPC-B's hot branch/teller rows migrate
-     * between processors) -- the effect that dilutes layout gains on
-     * multiprocessors in the paper's section 5.
+     * `include_data` and `model_coherence` set, comm_misses counts
+     * the trace's communication misses at the L1D line size (see
+     * commMisses). The differential oracle of the per-CPU walk in
+     * serve::ServiceModel, which prices every production hierarchy
+     * column.
      */
     HierarchyReplayResult hierarchy(const mem::HierarchyConfig& config,
                                     bool include_data = true,
@@ -215,6 +203,19 @@ class Replayer
     int num_cpus_ = 1;
 };
 
+/**
+ * Communication misses of a multiprocessor trace: one pass over its
+ * data events in global trace order, tracking the last CPU to touch
+ * each `line_bytes` line; a touch by another CPU is a miss (TPC-B's
+ * hot branch/teller rows migrate between processors) -- the effect
+ * that dilutes layout gains on multiprocessors in the paper's section
+ * 5. Independent of every cache and of the code layout, and the one
+ * hierarchy quantity that depends on the cross-CPU interleaving of
+ * events, so it is counted here rather than in a per-CPU walk.
+ */
+std::uint64_t commMisses(const trace::TraceBuffer& trace,
+                         std::uint32_t line_bytes);
+
 namespace detail {
 
 /**
@@ -225,7 +226,7 @@ namespace detail {
  * the host's thread count.
  */
 ResolvedTraceSoA resolveSoA(const Replayer& rep, StreamFilter filter,
-                            bool include_data, std::size_t chunks);
+                            std::size_t chunks);
 
 } // namespace detail
 

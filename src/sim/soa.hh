@@ -101,11 +101,9 @@ using Column = std::vector<T, ColumnAlloc<T>>;
  * A trace resolved through one layout pair (Replayer::resolveSoA). The
  * instruction count of a block ref is bytes / program::kInstrBytes
  * (layouts place blocks at blockSize * kInstrBytes bytes, so the two
- * are locked together). When resolved with include_data, each CPU's
- * slice also carries that CPU's data refs (owner == Data) interleaved
- * in trace order, because a CPU's private L2 sees its instruction and
- * data streams in exactly that order; data_refs additionally keeps the
- * global data-event order for the hierarchy coherence pass.
+ * are locked together). Only instruction refs are resolved: the data
+ * stream feeds the hierarchy walk alone (serve::ServiceModel), which
+ * reads the raw trace.
  */
 struct ResolvedTraceSoA
 {
@@ -116,8 +114,6 @@ struct ResolvedTraceSoA
     /** Partition offsets: CPU c owns [cpu_begin[c], cpu_begin[c+1]),
      *  in trace order within the slice. */
     std::vector<std::size_t> cpu_begin;
-    /** Data references in global trace order (include_data only). */
-    std::vector<ResolvedDataRef> data_refs;
     int num_cpus = 1;
     /** Filtered block events, including zero-sized blocks. */
     std::uint64_t instr_events = 0;

@@ -4,17 +4,21 @@
  * (sim/engine.hh): on random programs and multi-CPU traces with app +
  * kernel images and data noise, every engine family — fused i-cache
  * with interference, three-C, stream buffers, instrumented word stats,
- * iTLB, full hierarchy with coherence, and sequence analysis — replayed
- * over the resolved columns (Replayer::resolveSoA) must be
- * bit-identical to the scalar per-config Replayer/metrics oracles,
- * which walk the raw trace. Each family runs serial-fused (no pool)
- * and sharded across a thread pool, including a pool wider than the
- * trace's CPU count (which engages the per-(cpu, config-chunk)
- * sharding path), and the i-cache, three-C, and stream-buffer families
- * through every kernel runnable here — forced scalar, forced AVX2, and
- * forced AVX-512 (sim/kernels.hh). The SIMD kernels have no tolerance:
- * miss counts, classification counts, and interference matrices must
- * match the scalar Replayer bit for bit.
+ * iTLB, and sequence analysis — replayed over the resolved columns
+ * (Replayer::resolveSoA) must be bit-identical to the scalar
+ * per-config Replayer/metrics oracles, which walk the raw trace. Each
+ * family runs serial-fused (no pool) and sharded across a thread pool,
+ * including a pool wider than the trace's CPU count (which engages the
+ * per-(cpu, config-chunk) sharding path), and the i-cache, three-C,
+ * and stream-buffer families through every kernel runnable here —
+ * forced scalar, forced AVX2, and forced AVX-512 (sim/kernels.hh). The
+ * SIMD kernels have no tolerance: miss counts, classification counts,
+ * and interference matrices must match the scalar Replayer bit for
+ * bit.
+ *
+ * The production full-hierarchy walk (the solo serve::ServiceModel
+ * plus sim::commMisses) reads the raw trace too and must match
+ * Replayer::hierarchy at every walk width.
  *
  * The chunk-parallel resolve is pinned two ways: hand-built traces with
  * hand-derived columns at every chunk count, and random traces at
@@ -29,6 +33,7 @@
 #include "core/layout.hh"
 #include "metrics/sequence.hh"
 #include "program/builder.hh"
+#include "serve/service.hh"
 #include "sim/engine.hh"
 #include "support/rng.hh"
 #include "support/threadpool.hh"
@@ -64,7 +69,8 @@ randomProgram(const char* name, int blocks, std::uint32_t seed)
  * plus data refs: mostly nearby re-executions with occasional far
  * jumps, 30% kernel blocks, 10% of events followed by a data touch on
  * a small hot region (so several CPUs hit the same data lines and the
- * coherence model has migrations to count).
+ * coherence model has migrations to count). Each CPU runs its own
+ * server process, so every serving segment stays on one CPU.
  */
 trace::TraceBuffer
 randomTrace(int blocks, int events, int num_cpus, std::uint32_t seed)
@@ -73,8 +79,10 @@ randomTrace(int blocks, int events, int num_cpus, std::uint32_t seed)
     trace::TraceBuffer buf;
     std::vector<trace::ExecContext> ctx(num_cpus);
     std::vector<std::uint32_t> cur(num_cpus, 0);
-    for (int c = 0; c < num_cpus; ++c)
+    for (int c = 0; c < num_cpus; ++c) {
         ctx[c].cpu = static_cast<std::uint8_t>(c);
+        ctx[c].process = static_cast<std::uint16_t>(c);
+    }
     for (int i = 0; i < events; ++i) {
         int c = static_cast<int>(
             rng.nextBounded(static_cast<std::uint32_t>(num_cpus)));
@@ -358,9 +366,13 @@ TEST(ReplayEngine, MatchesITlbOracleAndDynamicInstrs)
     }
 }
 
+/**
+ * The production hierarchy walk — a solo serve::ServiceModel for the
+ * per-CPU caches and iTLB, sim::commMisses for the coherence count —
+ * against the Replayer::hierarchy oracle, at several walk widths.
+ */
 TEST(ReplayEngine, MatchesHierarchyOracleWithCoherence)
 {
-    Pools pools;
     std::vector<mem::HierarchyConfig> configs(2);
     configs[1].l1i = {8 * 1024, 32, 1};
     configs[1].l1d = {8 * 1024, 32, 1};
@@ -368,30 +380,38 @@ TEST(ReplayEngine, MatchesHierarchyOracleWithCoherence)
     configs[1].itlb_entries = 48;
     for (int cpus : {1, 2, 4, 8}) {
         Workload w(cpus, 500 + static_cast<std::uint32_t>(cpus));
-        for (bool coherence : {false, true}) {
-            const ResolvedTraceSoA soa =
-                w.rep.resolveSoA(StreamFilter::Combined, true);
-            for (support::ThreadPool* pool : pools.all) {
-                auto col = replayHierarchy(soa, configs, coherence, pool);
-                for (std::size_t i = 0; i < configs.size(); ++i) {
-                    auto r = w.rep.hierarchy(configs[i], true,
-                                             coherence);
-                    expectStatsEq(col[i].total, r.total, "total");
-                    ASSERT_EQ(col[i].per_cpu.size(),
-                              r.per_cpu.size());
-                    for (std::size_t c = 0; c < r.per_cpu.size(); ++c)
-                        expectStatsEq(col[i].per_cpu[c], r.per_cpu[c],
-                                      "per_cpu");
-                    EXPECT_EQ(col[i].instrs, r.instrs);
-                    EXPECT_EQ(col[i].fetch_breaks, r.fetch_breaks);
+        for (const mem::HierarchyConfig& config : configs) {
+            serve::ServiceModelConfig smc;
+            smc.platform.hierarchy = config;
+            for (int width : {1, 2, 4}) {
+                const serve::ServiceModel m = serve::detail::serviceModel(
+                    w.buf, w.app_layout, &w.kern_layout, smc, width);
+                const serve::ServiceStats& st = m.stats();
+                for (bool coherence : {false, true}) {
+                    const HierarchyReplayResult r =
+                        w.rep.hierarchy(config, true, coherence);
+                    mem::HierarchyStats got = st.mem;
+                    if (coherence)
+                        got.comm_misses =
+                            commMisses(w.buf, config.l1d.line_bytes);
+                    const std::string what =
+                        "cpus " + std::to_string(cpus) + " width " +
+                        std::to_string(width) +
+                        (coherence ? " +coherence" : "");
+                    expectStatsEq(got, r.total, what.c_str());
+                    EXPECT_EQ(st.instrs, r.instrs) << what;
+                    EXPECT_EQ(st.fetch_breaks, r.fetch_breaks) << what;
                 }
             }
+        }
+        if (cpus > 1) {
+            EXPECT_GT(commMisses(w.buf, 64), 0u) << "cpus " << cpus;
         }
     }
 }
 
-/** Every column element, partition offset, data ref, and total of two
- *  SoA traces must match. */
+/** Every column element, partition offset, and total of two SoA traces
+ *  must match. */
 void
 expectSoAEq(const ResolvedTraceSoA& got, const ResolvedTraceSoA& want,
             const std::string& what)
@@ -405,13 +425,6 @@ expectSoAEq(const ResolvedTraceSoA& got, const ResolvedTraceSoA& want,
     EXPECT_EQ(got.num_cpus, want.num_cpus) << what;
     EXPECT_EQ(got.instr_events, want.instr_events) << what;
     EXPECT_EQ(got.instrs, want.instrs) << what;
-    ASSERT_EQ(got.data_refs.size(), want.data_refs.size()) << what;
-    for (std::size_t i = 0; i < got.data_refs.size(); ++i) {
-        EXPECT_EQ(got.data_refs[i].addr, want.data_refs[i].addr)
-            << what << " data ref " << i;
-        EXPECT_EQ(got.data_refs[i].cpu, want.data_refs[i].cpu)
-            << what << " data ref " << i;
-    }
     for (int c = -1; c <= want.num_cpus; ++c)
         EXPECT_EQ(got.cpuRange(c), want.cpuRange(c))
             << what << " cpu " << c;
@@ -424,30 +437,27 @@ constexpr std::size_t kChunkCounts[] = {2, 3, 7, 64};
 /**
  * The chunk-parallel resolve must not depend on its chunk count: at
  * every chunk count, Replayer::resolveSoA's own pick included, every
- * column element, partition offset, data ref, and total must match the
- * one-chunk resolve, across all filters, both include_data settings,
- * and 1/2/4/8-CPU traces. The one-chunk columns themselves are pinned
- * by the hand-derived chunk-edge tests below and, through every replay
- * family, by the raw-trace oracles above.
+ * column element, partition offset, and total must match the one-chunk
+ * resolve, across all filters and 1/2/4/8-CPU traces. The one-chunk
+ * columns themselves are pinned by the hand-derived chunk-edge tests
+ * below and, through every replay family, by the raw-trace oracles
+ * above.
  */
 TEST(ReplayEngine, DirectSoAResolveMatchesOneChunkAtEveryChunkCount)
 {
     for (int cpus : {1, 2, 4, 8}) {
         Workload w(cpus, 700 + static_cast<std::uint32_t>(cpus));
         for (StreamFilter filter : kFilters) {
-            for (bool data : {false, true}) {
-                const ResolvedTraceSoA one =
-                    detail::resolveSoA(w.rep, filter, data, 1);
-                const std::string what =
-                    "cpus " + std::to_string(cpus) + " filter " +
-                    std::to_string(static_cast<int>(filter)) +
-                    (data ? " +data" : "");
-                expectSoAEq(w.rep.resolveSoA(filter, data), one, what);
-                for (std::size_t chunks : kChunkCounts)
-                    expectSoAEq(
-                        detail::resolveSoA(w.rep, filter, data, chunks),
-                        one, what + " chunks " + std::to_string(chunks));
-            }
+            const ResolvedTraceSoA one =
+                detail::resolveSoA(w.rep, filter, 1);
+            const std::string what =
+                "cpus " + std::to_string(cpus) + " filter " +
+                std::to_string(static_cast<int>(filter));
+            expectSoAEq(w.rep.resolveSoA(filter), one, what);
+            for (std::size_t chunks : kChunkCounts)
+                expectSoAEq(detail::resolveSoA(w.rep, filter, chunks),
+                            one,
+                            what + " chunks " + std::to_string(chunks));
         }
     }
 }
@@ -519,7 +529,6 @@ struct Ref
 /** Literal resolved columns from per-CPU ref lists. */
 ResolvedTraceSoA
 columns(const std::vector<std::vector<Ref>>& per_cpu,
-        std::vector<ResolvedDataRef> data_refs,
         std::uint64_t instr_events, std::uint64_t instrs)
 {
     ResolvedTraceSoA out;
@@ -534,25 +543,23 @@ columns(const std::vector<std::vector<Ref>>& per_cpu,
         }
         out.cpu_begin.push_back(out.addr.size());
     }
-    out.data_refs = std::move(data_refs);
     out.instr_events = instr_events;
     out.instrs = instrs;
     return out;
 }
 
-/** Resolve with (filter, include_data) at every chunk count from 1 to
- *  past one event per chunk, against hand-derived columns. */
+/** Resolve with `filter` at every chunk count from 1 to past one
+ *  event per chunk, against hand-derived columns. */
 void
-expectEveryChunking(const Replayer& rep, StreamFilter filter, bool data,
+expectEveryChunking(const Replayer& rep, StreamFilter filter,
                     const ResolvedTraceSoA& want, const char* what)
 {
     for (std::size_t chunks = 1; chunks <= rep.trace().size() + 2;
          ++chunks)
-        expectSoAEq(detail::resolveSoA(rep, filter, data, chunks), want,
+        expectSoAEq(detail::resolveSoA(rep, filter, chunks), want,
                     std::string(what) + " filter " +
                         std::to_string(static_cast<int>(filter)) +
-                        (data ? " +data" : "") + " chunks " +
-                        std::to_string(chunks));
+                        " chunks " + std::to_string(chunks));
 }
 
 constexpr mem::Owner kApp = mem::Owner::App;
@@ -574,18 +581,18 @@ TEST(ReplayEngine, ChunkedResolveCarriesAKernelRunBreakIntoTheNextChunk)
     block(buf, 0, trace::ImageId::App, EdgeImages::kBody);
     const Replayer rep(buf, img.app_layout, &img.kern_layout);
     const char* what = "kernel break at chunk end";
-    expectEveryChunking(rep, StreamFilter::AppOnly, false,
+    expectEveryChunking(rep, StreamFilter::AppOnly,
                         columns({{{kBodyAt, 12, kApp, 0},
                                   {kTailAt, 16, kApp, kRefRunBreak},
                                   {kBodyAt, 12, kApp, 0}}},
-                                {}, 3, 10),
+                                3, 10),
                         what);
-    expectEveryChunking(rep, StreamFilter::Combined, true,
+    expectEveryChunking(rep, StreamFilter::Combined,
                         columns({{{kBodyAt, 12, kApp, 0},
                                   {kKernAt, 8, kKern, 0},
                                   {kTailAt, 16, kApp, 0},
                                   {kBodyAt, 12, kApp, 0}}},
-                                {}, 4, 12),
+                                4, 12),
                         what);
 }
 
@@ -604,16 +611,16 @@ TEST(ReplayEngine, ChunkedResolveKeepsARunBreakAcrossAZeroSizeBlock)
     block(buf, 0, trace::ImageId::App, EdgeImages::kBody);
     const Replayer rep(buf, img.app_layout, &img.kern_layout);
     const char* what = "zero-size block at chunk edge";
-    expectEveryChunking(rep, StreamFilter::AppOnly, false,
+    expectEveryChunking(rep, StreamFilter::AppOnly,
                         columns({{{kTailAt, 16, kApp, kRefRunBreak},
                                   {kBodyAt, 12, kApp, 0}}},
-                                {}, 5, 7),
+                                5, 7),
                         what);
-    expectEveryChunking(rep, StreamFilter::Combined, true,
+    expectEveryChunking(rep, StreamFilter::Combined,
                         columns({{{kKernAt, 8, kKern, 0},
                                   {kTailAt, 16, kApp, 0},
                                   {kBodyAt, 12, kApp, 0}}},
-                                {}, 6, 9),
+                                6, 9),
                         what);
 }
 
@@ -622,7 +629,8 @@ TEST(ReplayEngine, ChunkedResolveCarriesStateThroughAChunkWithoutTheCpu)
     const EdgeImages img;
     // Three chunks of three events; chunk 1 holds no event of CPU 1,
     // so the break CPU 1 takes in chunk 0 and its slice cursor must
-    // reach chunk 2 intact.
+    // reach chunk 2 intact. CPU 0's data event emits no ref and breaks
+    // no run.
     trace::TraceBuffer buf;
     trace::ExecContext ctx;
     block(buf, 1, trace::ImageId::App, EdgeImages::kBody);
@@ -637,26 +645,25 @@ TEST(ReplayEngine, ChunkedResolveCarriesStateThroughAChunkWithoutTheCpu)
     const Replayer rep(buf, img.app_layout, &img.kern_layout);
     ASSERT_EQ(rep.numCpus(), 2);
     const char* what = "chunk without a CPU";
-    expectEveryChunking(rep, StreamFilter::AppOnly, false,
+    expectEveryChunking(rep, StreamFilter::AppOnly,
                         columns({{{kBodyAt, 12, kApp, 0},
                                   {kTailAt, 16, kApp, 0},
                                   {kBodyAt, 12, kApp, 0}},
                                  {{kBodyAt, 12, kApp, 0},
                                   {kTailAt, 16, kApp, kRefRunBreak},
                                   {kBodyAt, 12, kApp, 0}}},
-                                {}, 6, 20),
+                                6, 20),
                         what);
-    expectEveryChunking(rep, StreamFilter::Combined, true,
+    expectEveryChunking(rep, StreamFilter::Combined,
                         columns({{{kBodyAt, 12, kApp, 0},
                                   {kTailAt, 16, kApp, 0},
-                                  {0x8000, 4, mem::Owner::Data, 0},
                                   {kBodyAt, 12, kApp, 0},
                                   {kKernAt, 8, kKern, 0}},
                                  {{kBodyAt, 12, kApp, 0},
                                   {kKernAt, 8, kKern, 0},
                                   {kTailAt, 16, kApp, 0},
                                   {kBodyAt, 12, kApp, 0}}},
-                                {{0x8000, 0}}, 8, 24),
+                                8, 24),
                         what);
 }
 
@@ -672,7 +679,7 @@ TEST(ReplayEngineDeathTest, ResolveRejectsAnOutOfRangeBlockId)
     EXPECT_DEATH((void)rep.resolveSoA(StreamFilter::AppOnly),
                  "block id out of range");
     EXPECT_DEATH(
-        (void)detail::resolveSoA(rep, StreamFilter::Combined, true, 3),
+        (void)detail::resolveSoA(rep, StreamFilter::Combined, 3),
         "block id out of range");
 }
 

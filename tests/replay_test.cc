@@ -205,6 +205,28 @@ TEST(Replay, CoherenceCountsMigratingDataLines)
     EXPECT_EQ(without.total.comm_misses, 0u);
 }
 
+TEST(Replay, CommMissesFollowLineSizeAndGlobalOrder)
+{
+    trace::TraceBuffer buf;
+    trace::ExecContext c0, c1;
+    c1.cpu = 1;
+    // 0x80000020 shares a 64 B line with 0x80000000, not a 32 B one.
+    buf.onData(c0, 0x80000000ULL);
+    buf.onData(c1, 0x80000020ULL);
+    buf.onData(c0, 0x80000000ULL);
+    buf.onBlock(c1, trace::ImageId::App, 0);
+    EXPECT_EQ(commMisses(buf, 64), 2u);
+    EXPECT_EQ(commMisses(buf, 32), 0u);
+
+    // Each CPU alone sees the same accesses in the same order; only the
+    // interleaving of the two decides the count.
+    trace::TraceBuffer grouped;
+    grouped.onData(c0, 0x80000000ULL);
+    grouped.onData(c0, 0x80000000ULL);
+    grouped.onData(c1, 0x80000020ULL);
+    EXPECT_EQ(commMisses(grouped, 64), 1u);
+}
+
 TEST(Replay, FetchBreaksCountDiscontinuities)
 {
     Program p = twoLineProgram();

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <numeric>
+#include <utility>
 
 #include "core/pipeline.hh"
 #include "program/builder.hh"
@@ -418,6 +419,13 @@ TEST(ServiceModelDeathTest, RejectsSegmentsThatSpanCpus)
     EXPECT_EQ(ok.stats().requests, 2u);
 }
 
+/**
+ * The solo walk is the production hierarchy walk of the Figure 14/15
+ * benches, so it must match the Replayer::hierarchy oracle on every
+ * platform preset: the 21364-sim hierarchy, the 21164's 8 KB
+ * direct-mapped L1s with 32 B lines, and the 21264's 4 MB
+ * direct-mapped L2.
+ */
 TEST(ServiceModel, SoloMatchesReplayerHierarchy)
 {
     sim::System sys(smallSystem());
@@ -430,38 +438,48 @@ TEST(ServiceModel, SoloMatchesReplayerHierarchy)
         sys.appProg(), sys.config().app_text_base);
     core::Layout kern = core::baselineLayout(
         sys.kernelProg(), sys.config().kernel_text_base);
-    const sim::PlatformParams platform =
-        sim::PlatformParams::sim21364();
-
     sim::Replayer rep(buf, app, &kern);
-    sim::HierarchyReplayResult oracle =
-        rep.hierarchy(platform.hierarchy, /*include_data=*/true);
 
-    serve::ServiceModelConfig smc;
-    smc.platform = platform;
-    serve::ServiceModel model(buf, app, &kern, smc);
-    const serve::ServiceStats& st = model.stats();
+    for (const sim::PlatformParams& platform :
+         {sim::PlatformParams::sim21364(),
+          sim::PlatformParams::alpha21164(),
+          sim::PlatformParams::alpha21264()}) {
+        SCOPED_TRACE(platform.name);
+        sim::HierarchyReplayResult oracle =
+            rep.hierarchy(platform.hierarchy, /*include_data=*/true);
 
-    // Same walk: identical instruction, fetch-break, and miss counts.
-    EXPECT_EQ(st.instrs, oracle.instrs);
-    EXPECT_EQ(st.fetch_breaks, oracle.fetch_breaks);
-    EXPECT_EQ(st.mem.l1i.misses, oracle.total.l1i.misses);
-    EXPECT_EQ(st.mem.l1d.misses, oracle.total.l1d.misses);
-    EXPECT_EQ(st.mem.l2i.misses, oracle.total.l2i.misses);
-    EXPECT_EQ(st.mem.l2d.misses, oracle.total.l2d.misses);
-    EXPECT_EQ(st.mem.itlb_misses, oracle.total.itlb_misses);
+        serve::ServiceModelConfig smc;
+        smc.platform = platform;
+        serve::ServiceModel model(buf, app, &kern, smc);
+        const serve::ServiceStats& st = model.stats();
 
-    // Per-request cycles sum to the whole-trace non-idle cycles (the
-    // sim21364 weights are integers, so no rounding drift).
-    const std::uint64_t whole = sim::nonIdleCycles(
-        oracle.total, oracle.instrs, platform, oracle.fetch_breaks);
-    const auto& per_req = model.requestCycles();
-    const std::uint64_t summed = std::accumulate(
-        per_req.begin(), per_req.end(), std::uint64_t{0});
-    EXPECT_EQ(summed, whole);
-    EXPECT_EQ(st.requests, per_req.size());
-    EXPECT_EQ(st.total_cycles, summed);
-    EXPECT_GT(st.requests, 10u);
+        // Same walk: identical instruction, fetch-break, access and
+        // miss counts.
+        EXPECT_EQ(st.instrs, oracle.instrs);
+        EXPECT_EQ(st.fetch_breaks, oracle.fetch_breaks);
+        for (auto [got, want] :
+             {std::pair{st.mem.l1i, oracle.total.l1i},
+              std::pair{st.mem.l1d, oracle.total.l1d},
+              std::pair{st.mem.l2i, oracle.total.l2i},
+              std::pair{st.mem.l2d, oracle.total.l2d}}) {
+            EXPECT_EQ(got.accesses, want.accesses);
+            EXPECT_EQ(got.misses, want.misses);
+        }
+        EXPECT_EQ(st.mem.itlb_misses, oracle.total.itlb_misses);
+        EXPECT_GT(st.mem.l2i.misses, 0u);
+
+        // Per-request cycles sum to the whole-trace non-idle cycles
+        // (every preset's weights are integers, so no rounding drift).
+        const std::uint64_t whole = sim::nonIdleCycles(
+            oracle.total, oracle.instrs, platform, oracle.fetch_breaks);
+        const auto& per_req = model.requestCycles();
+        const std::uint64_t summed = std::accumulate(
+            per_req.begin(), per_req.end(), std::uint64_t{0});
+        EXPECT_EQ(summed, whole);
+        EXPECT_EQ(st.requests, per_req.size());
+        EXPECT_EQ(st.total_cycles, summed);
+        EXPECT_GT(st.requests, 10u);
+    }
 }
 
 TEST(ServiceModel, TenantsShareL2AndInflateService)

@@ -24,8 +24,7 @@ struct Row
 };
 
 Row
-runScale(double scale, std::uint64_t profile_txns,
-         std::uint64_t trace_txns, support::ThreadPool* pool)
+runScale(double scale, const bench::OwnRunArgs& args)
 {
     sim::SystemConfig config;
     config.app_image_scale = scale;
@@ -36,9 +35,9 @@ runScale(double scale, std::uint64_t profile_txns,
     system.setup();
     system.warmup(50);
     sim::System::Profiles profiles =
-        system.collectProfiles(profile_txns);
+        system.collectProfiles(args.profile_txns);
     trace::TraceBuffer buf;
-    system.run(trace_txns, buf);
+    system.run(args.trace_txns, buf);
 
     auto misses = [&](core::OptCombo combo) {
         core::PipelineOptions opts;
@@ -46,7 +45,7 @@ runScale(double scale, std::uint64_t profile_txns,
         opts.text_base = config.app_text_base;
         core::Layout layout =
             core::buildLayout(system.appProg(), profiles.app, opts);
-        bench::BenchReplay rep(buf, layout, nullptr, pool);
+        bench::BenchReplay rep(buf, layout, nullptr, args.pool.get());
         return rep.icache({64 * 1024, 128, 4},
                           sim::StreamFilter::AppOnly)
             .misses;
@@ -71,20 +70,16 @@ main(int argc, char** argv)
 {
     bench::banner("Image-scale ablation",
                   "layout gains vs binary size (64KB/128B/4-way)");
-    std::uint64_t profile_txns = argc > 1 ? std::atoll(argv[1]) : 500;
-    std::uint64_t trace_txns = argc > 2 ? std::atoll(argv[2]) : 350;
+    const bench::OwnRunArgs args = bench::parseOwnRunArgs(argc, argv, 500,
+                                                          350);
 
     support::TablePrinter table({"image scale", "text size",
                                  "porder gain", "chain gain",
                                  "all gain"});
     double porder_small = 0, porder_big = 0;
-    const int threads = bench::threadsFromEnv();
-    std::unique_ptr<support::ThreadPool> pool;
-    if (threads > 0)
-        pool = std::make_unique<support::ThreadPool>(threads);
     const double scales[3] = {0.5, 1.0, 3.0};
     for (double scale : scales) {
-        Row r = runScale(scale, profile_txns, trace_txns, pool.get());
+        Row r = runScale(scale, args);
         if (scale == scales[0])
             porder_small = r.porder_gain;
         if (scale == scales[2])

@@ -16,7 +16,8 @@
  * and two runs with the same seed produce byte-identical layouts and
  * an identical BENCH_layout_search.json (the JSON carries no timings).
  * Search budget is overridable for smoke tests via
- * SPIKESIM_SEARCH_EPOCHS / SPIKESIM_SEARCH_BATCH.
+ * SPIKESIM_SEARCH_EPOCHS / SPIKESIM_SEARCH_BATCH (positive integers,
+ * strictly parsed).
  */
 
 #include <algorithm>
@@ -25,7 +26,6 @@
 
 #include "bench/common.hh"
 #include "opt/search.hh"
-#include "support/panic.hh"
 
 using namespace spikesim;
 
@@ -33,18 +33,6 @@ namespace {
 
 const std::vector<std::uint32_t> kSizesKb{32, 64, 128, 256, 512};
 const std::vector<std::uint32_t> kLines{16, 32, 64, 128, 256};
-
-int
-envInt(const char* name, int fallback)
-{
-    const char* v = std::getenv(name);
-    if (v == nullptr || *v == '\0')
-        return fallback;
-    const int parsed = std::atoi(v);
-    if (parsed <= 0)
-        support::fatal(std::string(name) + " must be a positive integer");
-    return parsed;
-}
 
 } // namespace
 
@@ -54,6 +42,11 @@ main(int argc, char** argv)
     bench::banner("Ablation",
                   "layout search engine (ExtTSP annealing) vs greedy "
                   "pipeline");
+    opt::SearchOptions sopts;
+    sopts.epochs =
+        bench::positiveFromEnv("SPIKESIM_SEARCH_EPOCHS", sopts.epochs);
+    sopts.batch =
+        bench::positiveFromEnv("SPIKESIM_SEARCH_BATCH", sopts.batch);
     bench::Workload w = bench::runWorkload(argc, argv);
 
     core::Layout base = w.appLayout(core::OptCombo::Base);
@@ -63,10 +56,7 @@ main(int argc, char** argv)
     popts.combo = core::OptCombo::All;
     popts.text_base = w.system->config().app_text_base;
 
-    opt::SearchOptions sopts;
     sopts.seed = w.seed;
-    sopts.epochs = envInt("SPIKESIM_SEARCH_EPOCHS", sopts.epochs);
-    sopts.batch = envInt("SPIKESIM_SEARCH_BATCH", sopts.batch);
 
     // Page-aware hierarchical mode: hot/cold + Codestitcher-merge
     // candidates seed the annealer, perturbation respects 4KB page
@@ -75,29 +65,24 @@ main(int argc, char** argv)
     // pages. The iTLB weights reflect the relative stall costs
     // (sim/timing.hh: ~30-cycle iTLB fill vs ~12-cycle L2 hit) scaled
     // by how much rarer page crossings are than line misses.
-    const auto envDouble = [](const char* name, double fallback) {
-        const char* v = std::getenv(name);
-        return v == nullptr || *v == '\0' ? fallback : std::atof(v);
-    };
     sopts.page.enabled = true;
-    sopts.page.itlb4k_weight = envDouble("SPIKESIM_OBJ_ITLB4K_W", 2.0);
-    sopts.page.itlb2m_weight = envDouble("SPIKESIM_OBJ_ITLB2M_W", 10.0);
+    sopts.page.itlb4k_weight = 2.0;
+    sopts.page.itlb2m_weight = 10.0;
     // Hot/cold threshold scales with the profiling run: block counts
     // grow linearly with profiled transactions, so a fixed count would
     // classify everything hot on long profiles and everything cold on
     // short ones. profile_txns/8 puts the knee where the packed hot
     // region roughly matches the 64-entry x 4KB iTLB reach on the
     // default workload.
-    sopts.page.hot_threshold = static_cast<std::uint64_t>(envInt(
-        "SPIKESIM_SEARCH_HOT_THRESHOLD",
-        static_cast<int>(std::max<std::uint64_t>(1, w.profile_txns / 8))));
+    sopts.page.hot_threshold =
+        std::max<std::uint64_t>(1, w.profile_txns / 8);
     // Page-aware proxy terms (all default-zero otherwise): gap-bucket
     // penalty past the ExtTSP decay windows, 4KB/2MB co-residency
     // bonuses, and a page-crossing iTLB charge.
-    sopts.exttsp.gap_weight = envDouble("SPIKESIM_GAP_W", 0.05);
-    sopts.exttsp.page4k_weight = envDouble("SPIKESIM_P4K_W", 0.02);
-    sopts.exttsp.page2m_weight = envDouble("SPIKESIM_P2M_W", 0.01);
-    sopts.exttsp.itlb_weight = envDouble("SPIKESIM_ITLB_W", 0.05);
+    sopts.exttsp.gap_weight = 0.05;
+    sopts.exttsp.page4k_weight = 0.02;
+    sopts.exttsp.page2m_weight = 0.01;
+    sopts.exttsp.itlb_weight = 0.05;
 
     std::cout << "search: seed " << sopts.seed << ", " << sopts.epochs
               << " epochs x " << sopts.batch

@@ -23,8 +23,7 @@ struct Case
 };
 
 Case
-runCase(int num_cpus, std::uint64_t profile_txns,
-        std::uint64_t trace_txns, support::ThreadPool* pool)
+runCase(int num_cpus, const bench::OwnRunArgs& args)
 {
     sim::SystemConfig config;
     config.num_cpus = num_cpus;
@@ -33,9 +32,9 @@ runCase(int num_cpus, std::uint64_t profile_txns,
     system.setup();
     system.warmup(50);
     sim::System::Profiles profiles =
-        system.collectProfiles(profile_txns);
+        system.collectProfiles(args.profile_txns);
     trace::TraceBuffer buf;
-    system.run(trace_txns, buf);
+    system.run(args.trace_txns, buf);
 
     core::Layout kernel = core::baselineLayout(
         system.kernelProg(), config.kernel_text_base);
@@ -47,7 +46,7 @@ runCase(int num_cpus, std::uint64_t profile_txns,
         opts.text_base = config.app_text_base;
         core::Layout layout =
             core::buildLayout(system.appProg(), profiles.app, opts);
-        bench::BenchReplay rep(buf, layout, &kernel, pool);
+        bench::BenchReplay rep(buf, layout, &kernel, args.pool.get());
         auto h = rep.hierarchy(platform.hierarchy,
                                /*model_coherence=*/true);
         return std::pair<std::uint64_t, std::uint64_t>(
@@ -73,15 +72,10 @@ main(int argc, char** argv)
     bench::banner("Multiprocessor ablation",
                   "layout speedup on 1 vs 4 processors (21164-like, "
                   "coherence modeled)");
-    std::uint64_t profile_txns = argc > 1 ? std::atoll(argv[1]) : 600;
-    std::uint64_t trace_txns = argc > 2 ? std::atoll(argv[2]) : 400;
-
-    const int threads = bench::threadsFromEnv();
-    std::unique_ptr<support::ThreadPool> pool;
-    if (threads > 0)
-        pool = std::make_unique<support::ThreadPool>(threads);
-    Case up = runCase(1, profile_txns, trace_txns, pool.get());
-    Case mp = runCase(4, profile_txns, trace_txns, pool.get());
+    const bench::OwnRunArgs args = bench::parseOwnRunArgs(argc, argv, 600,
+                                                          400);
+    Case up = runCase(1, args);
+    Case mp = runCase(4, args);
 
     support::TablePrinter table(
         {"system", "speedup (all vs base)", "communication misses"});

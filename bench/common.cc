@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -18,36 +19,39 @@ namespace spikesim::bench {
 
 namespace {
 
+constexpr const char* kWorkloadSynopsis =
+    " [--corpus DIR] [--threads N] [--seed N] [--simd 0|1|2]"
+    " [--trace-out FILE] [--manifest-out FILE] [--timeline-out FILE]"
+    " [--progress SECS] [profile_txns] [trace_txns]";
+constexpr const char* kOwnRunSynopsis =
+    " [--threads N] [profile_txns] [trace_txns]";
+
 [[noreturn]] void
-usage(const char* argv0, const std::string& complaint)
+usage(const char* argv0, const std::string& complaint,
+      const char* synopsis = kWorkloadSynopsis)
 {
-    support::fatal(complaint + "\nusage: " + argv0 +
-                   " [--corpus DIR] [--threads N] [--seed N]"
-                   " [--simd 0|1|2] [--trace-out FILE]"
-                   " [--manifest-out FILE] [--timeline-out FILE]"
-                   " [--progress SECS]"
-                   " [profile_txns] [trace_txns]");
+    support::fatal(complaint + "\nusage: " + argv0 + synopsis);
 }
 
 /** Strict decimal parse; rejects sign, junk, and overflow. */
 std::uint64_t
-parseTxnCount(const char* argv0, const std::string& arg, const char* what)
+parseTxnCount(const char* argv0, const std::string& arg, const char* what,
+              const char* synopsis = kWorkloadSynopsis)
 {
+    const std::string w = what;
     if (arg.empty())
-        usage(argv0, std::string(what) + " is empty");
+        usage(argv0, w + " is empty", synopsis);
     if (arg[0] == '-' || arg[0] == '+')
-        usage(argv0, std::string(what) + " must be a non-negative "
-                                         "integer, got '" + arg + "'");
+        usage(argv0, w + " must be a non-negative integer, got '" + arg + "'",
+              synopsis);
     for (char c : arg)
         if (!std::isdigit(static_cast<unsigned char>(c)))
-            usage(argv0, std::string(what) + " is not a number: '" +
-                             arg + "'");
+            usage(argv0, w + " is not a number: '" + arg + "'", synopsis);
     errno = 0;
     char* end = nullptr;
     const unsigned long long v = std::strtoull(arg.c_str(), &end, 10);
     if (errno == ERANGE || end != arg.c_str() + arg.size())
-        usage(argv0, std::string(what) + " is out of range: '" + arg +
-                         "'");
+        usage(argv0, w + " is out of range: '" + arg + "'", synopsis);
     return v;
 }
 
@@ -60,11 +64,12 @@ envFlagSet(const char* name)
 
 /** Strict thread-count parse: 0 (serial oracle) .. 4096. */
 int
-parseThreads(const char* argv0, const std::string& arg)
+parseThreads(const char* argv0, const std::string& arg,
+             const char* synopsis = kWorkloadSynopsis)
 {
-    const std::uint64_t v = parseTxnCount(argv0, arg, "thread count");
+    const std::uint64_t v = parseTxnCount(argv0, arg, "thread count", synopsis);
     if (v > 4096)
-        usage(argv0, "thread count is out of range: '" + arg + "'");
+        usage(argv0, "thread count is out of range: '" + arg + "'", synopsis);
     return static_cast<int>(v);
 }
 
@@ -283,6 +288,47 @@ seedFromEnv(std::uint64_t fallback)
     return parseTxnCount("SPIKESIM_SEED", v, "seed");
 }
 
+int
+positiveFromEnv(const char* name, int fallback)
+{
+    const char* v = std::getenv(name);
+    if (v == nullptr || *v == '\0')
+        return fallback;
+    const std::uint64_t n = parseTxnCount(name, v, name);
+    if (n == 0 || n > INT_MAX)
+        usage(name, std::string(name) + " is out of range: '" + v + "'");
+    return static_cast<int>(n);
+}
+
+OwnRunArgs
+parseOwnRunArgs(int argc, char** argv, std::uint64_t profile_txns,
+                std::uint64_t trace_txns)
+{
+    const char* const syn = kOwnRunSynopsis;
+    const char* const names[] = {"profile_txns", "trace_txns"};
+    OwnRunArgs out{profile_txns, trace_txns, nullptr};
+    std::uint64_t* const counts[] = {&out.profile_txns, &out.trace_txns};
+    int threads = -1; // unset: SPIKESIM_THREADS, then defaultThreads()
+    std::size_t given = 0;
+    for (int i = 1; i < argc; ++i) {
+        if (std::string(argv[i]) == "--threads" && i + 1 < argc) {
+            threads = parseThreads(argv[0], argv[++i], syn);
+            continue;
+        }
+        // Counts reject anything not a decimal, other flags included.
+        if (given == 2)
+            usage(argv[0], "too many arguments", syn);
+        *counts[given] = parseTxnCount(argv[0], argv[i], names[given], syn);
+        if (*counts[given] == 0)
+            usage(argv[0], std::string(names[given]) + " must be > 0", syn);
+        ++given;
+    }
+    threads = threads >= 0 ? threads : threadsFromEnv();
+    if (threads > 0)
+        out.pool = std::make_unique<support::ThreadPool>(threads);
+    return out;
+}
+
 Workload
 runWorkload(int argc, char** argv, std::uint64_t profile_txns,
             std::uint64_t trace_txns)
@@ -379,6 +425,11 @@ runWorkload(int argc, char** argv, std::uint64_t profile_txns,
     if (oopts.active())
         w.obs_run = std::make_unique<ObsRun>(std::move(oopts), argc,
                                              argv);
+    // Built first, so it is the executor of every pool-less layer.
+    w.threads = threads >= 0 ? threads : threadsFromEnv();
+    if (w.threads > 0)
+        w.worker_pool =
+            std::make_unique<support::ThreadPool>(w.threads);
 
     sim::GeneratedWorkload g;
     {
@@ -401,7 +452,6 @@ runWorkload(int argc, char** argv, std::uint64_t profile_txns,
     w.profile_txns = profile_txns;
     w.trace_txns = trace_txns;
     w.db_ready = g.db_ready;
-    w.threads = threads >= 0 ? threads : threadsFromEnv();
     w.seed = seed_set ? seed : seedFromEnv();
     w.simd = simd;
     // When Auto-mode calibration is going to run (no --simd flag, no
@@ -426,9 +476,6 @@ runWorkload(int argc, char** argv, std::uint64_t profile_txns,
     // also runs (and caches) the startup calibration, so the choice
     // and its reason are known before the first replay.
     const sim::KernelChoice choice = sim::resolveKernel(w.simd);
-    if (w.threads > 0)
-        w.worker_pool =
-            std::make_unique<support::ThreadPool>(w.threads);
 
     if (w.obs_run) {
         obs::Manifest& m = w.obs_run->manifest();
@@ -564,8 +611,7 @@ BenchReplay::hierarchyColumn(std::span<const mem::HierarchyConfig> configs,
     out.reserve(configs.size());
     for (const mem::HierarchyConfig& config : configs)
         out.push_back(parallel_
-                          ? serviceHierarchy(rep_, config, model_coherence,
-                                             pool_->numThreads())
+                          ? serviceHierarchy(rep_, config, model_coherence)
                           : rep_.hierarchy(config, true, model_coherence));
     return out;
 }
@@ -598,13 +644,12 @@ BenchReplay::dynamicInstrs(sim::StreamFilter filter)
 
 sim::HierarchyReplayResult
 serviceHierarchy(const sim::Replayer& rep,
-                 const mem::HierarchyConfig& config, bool model_coherence,
-                 int workers)
+                 const mem::HierarchyConfig& config, bool model_coherence)
 {
     serve::ServiceModelConfig smc;
     smc.platform.hierarchy = config;
-    const serve::ServiceModel model = serve::detail::serviceModel(
-        rep.trace(), rep.app(), rep.kernel(), smc, workers);
+    const serve::ServiceModel model(rep.trace(), rep.app(), rep.kernel(),
+                                    smc);
     sim::HierarchyReplayResult out;
     out.total = model.stats().mem;
     out.instrs = model.stats().instrs;

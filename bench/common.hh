@@ -43,9 +43,9 @@
  *
  * Replay threading is shared across every bench the same way: the
  * `--threads N` flag (or the SPIKESIM_THREADS environment variable)
- * sizes one support::ThreadPool owned by the Workload, used by the
- * parallel replay engine (sim/engine.hh, via BenchReplay below), which
- * prices every figure's cache grid. `--threads 0` disables the
+ * sizes one support::ThreadPool owned by the Workload, built first so
+ * it is the process executor (support/threadpool.hh) and bounds every
+ * parallel layer. `--threads 0` disables the
  * pool entirely and BenchReplay falls back to the scalar per-config
  * Replayer walks — the differential oracle path, so `--threads 0`
  * versus `--threads N` is a byte-identical A/B of every table. The
@@ -330,7 +330,7 @@ class BenchReplay
                sim::StreamFilter filter);
 
     /** Full hierarchy with data refs: serviceHierarchy per config on
-     *  the pool's width, Replayer::hierarchy on the oracle path. */
+     *  the executor, Replayer::hierarchy on the oracle path. */
     sim::HierarchyReplayResult
     hierarchy(const mem::HierarchyConfig& config,
               bool model_coherence = false);
@@ -357,15 +357,14 @@ class BenchReplay
 /**
  * Full-hierarchy replay with data refs (Figures 14-15) on the
  * production walk: a solo serve::ServiceModel over the replayer's trace
- * and layouts, sharded by simulated CPU on at most `workers` host
- * threads, plus sim::commMisses at the L1D line size when
- * `model_coherence` is set. Bit-identical to
- * Replayer::hierarchy(config, true, model_coherence) at every width.
+ * and layouts, sharded by simulated CPU on support::executor(), plus
+ * sim::commMisses at the L1D line size when `model_coherence` is set.
+ * Bit-identical to Replayer::hierarchy(config, true, model_coherence)
+ * at every pool width.
  */
 sim::HierarchyReplayResult
 serviceHierarchy(const sim::Replayer& rep,
-                 const mem::HierarchyConfig& config, bool model_coherence,
-                 int workers);
+                 const mem::HierarchyConfig& config, bool model_coherence);
 
 /**
  * Misses of the (size, line, assoc) configuration in a column that
@@ -410,6 +409,22 @@ Workload runWorkload(int argc, char** argv,
  * environment). 0 means serial oracle path.
  */
 int threadsFromEnv();
+
+/** Positive int from env var `name` (`fallback` when unset or empty);
+ *  junk such as `12abc`, zero or overflow is fatal with a usage line. */
+int positiveFromEnv(const char* name, int fallback);
+
+/** Strict `[--threads N] [profile_txns] [trace_txns]` of a bench that
+ *  builds its own systems; counts > 0, pool sized as runWorkload's. */
+struct OwnRunArgs
+{
+    std::uint64_t profile_txns = 0;
+    std::uint64_t trace_txns = 0;
+    std::unique_ptr<support::ThreadPool> pool;
+};
+OwnRunArgs parseOwnRunArgs(int argc, char** argv,
+                           std::uint64_t profile_txns,
+                           std::uint64_t trace_txns);
 
 /** The seed every randomized bench uses when nothing overrides it. */
 inline constexpr std::uint64_t kDefaultSeed = 1;

@@ -17,8 +17,8 @@
  *
  * The full hierarchies need the data stream, which the SoA columns do
  * not carry: on the soa paths they run on the production hierarchy
- * walk (bench::serviceHierarchy, the solo serve::ServiceModel) on one
- * host thread, or on the pool's width for soa parallel.
+ * walk (bench::serviceHierarchy, the solo serve::ServiceModel) on the
+ * executor, the bench's pool.
  *
  * All paths must produce bit-identical results (the process exits
  * non-zero on any divergence, which is what the ctest smokes check —
@@ -193,8 +193,7 @@ runSuite(const sim::Replayer& rep, SuitePath path, sim::SimdMode mode,
         r.words = sim::replayInstrumented(instr, wcfg, false, pool);
         r.itlb = sim::replayITlb(instr, specs, mode, pool);
         for (const auto& h : hcfg)
-            r.hier.push_back(bench::serviceHierarchy(
-                rep, h, true, pool != nullptr ? pool->numThreads() : 1));
+            r.hier.push_back(bench::serviceHierarchy(rep, h, true));
         r.seq = sim::replaySequence(app_only, pool);
         r.dyn_instrs = instr.instrs;
         r.replay_seconds = seconds(t1, clock::now());

@@ -52,7 +52,7 @@ std::size_t shardIndex();
  * Monotonic counter. add() is a single relaxed fetch_add on this
  * thread's shard; value() sums the shards (approximate only while
  * writers are live, exact at any quiescent point such as after
- * ThreadPool::wait()).
+ * ThreadPool::forEach returns).
  */
 class Counter
 {

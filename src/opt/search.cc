@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <iostream>
 #include <iterator>
 #include <unordered_map>
 
@@ -65,8 +63,8 @@ class GroundTruth
     /**
      * Measurements for every entry (cached or freshly replayed).
      * Uncached entries replay one at a time, each on every core: the
-     * resolve shards the event stream on its own call-local pool and
-     * the i-cache and iTLB kernels shard by CPU on `pool`. One resolved
+     * resolve shards the event stream on support::executor() and the
+     * i-cache and iTLB kernels shard by CPU on `pool`. One resolved
      * trace is alive at a time.
      */
     std::vector<GtResult>
@@ -122,22 +120,6 @@ class GroundTruth
     std::uint64_t evals_ = 0;
     std::uint64_t hits_ = 0;
 };
-
-/** Run fn(0) .. fn(n - 1) on the pool, or in index order without
- *  one. Callers write only slot i from fn(i). */
-template <class Fn>
-void
-forEachIndex(support::ThreadPool* pool, std::size_t n, const Fn& fn)
-{
-    if (pool == nullptr) {
-        for (std::size_t i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
-    for (std::size_t i = 0; i < n; ++i)
-        pool->submit([&fn, i] { fn(i); });
-    pool->wait();
-}
 
 /** Segment byte size under tight packing (no branch adjustment). */
 std::uint64_t
@@ -276,7 +258,7 @@ searchLayout(const program::Program& prog,
         const std::uint64_t ladder[] = {base, base * 5 / 4, base * 3 / 2,
                                         base * 2};
         hotcolds.resize(std::size(ladder));
-        forEachIndex(pool, hotcolds.size(), [&](std::size_t j) {
+        support::forEach(pool, hotcolds.size(), [&](std::size_t j) {
             hotcolds[j] =
                 makeHotCold(std::max<std::uint64_t>(1, ladder[j]));
         });
@@ -359,28 +341,6 @@ searchLayout(const program::Program& prog,
                 uniq.push_back(s);
         }
         const std::vector<GtResult> m = gt.evaluate(uniq, pool);
-        if (std::getenv("SPIKESIM_SEARCH_DEBUG") != nullptr) {
-            const auto label = [&](const ScoredCandidate* s) {
-                if (s == &seed)
-                    return "seed";
-                for (const ScoredCandidate& hc : hotcolds)
-                    if (s == &hc)
-                        return "hotcold";
-                if (page && s == &hier)
-                    return "hier";
-                if (s == &incumbent)
-                    return "incumbent";
-                if (s == &best_proxy)
-                    return "best_proxy";
-                return "batch";
-            };
-            for (std::size_t i = 0; i < uniq.size(); ++i)
-                std::cerr << "[search] epoch " << epochs_done << " "
-                          << label(uniq[i]) << ": misses " << m[i].misses
-                          << " itlb4k " << m[i].itlb4k << " itlb2m "
-                          << m[i].itlb2m << " objective "
-                          << objective(m[i]) << "\n";
-        }
         // Winner: lowest combined objective (== fewest misses with the
         // default weights); ties go to the higher proxy score, then the
         // earlier survivor (seed < incumbent < ...). Only candidates
@@ -453,7 +413,7 @@ searchLayout(const program::Program& prog,
             c.score = extTspScore(materialize(c.cand, prog, aopts), edges,
                                   sopts.exttsp);
         };
-        forEachIndex(pool, batch.size(), make);
+        support::forEach(pool, batch.size(), make);
         for (const PerturbCounts& pc : op_counts)
             for (std::size_t op = 0; op < kNumPerturbOps; ++op) {
                 result.perturb_counts.applied[op] += pc.applied[op];

@@ -132,10 +132,8 @@ ArrivalConfig::check() const
     return "";
 }
 
-namespace detail {
-
 std::vector<Arrival>
-generateArrivals(const ArrivalConfig& cfg, int workers)
+generateArrivals(const ArrivalConfig& cfg)
 {
     SPIKESIM_ASSERT(cfg.check().empty(),
                     "bad arrival config: " << cfg.check());
@@ -143,47 +141,34 @@ generateArrivals(const ArrivalConfig& cfg, int workers)
         static_cast<double>(cfg.sessions) / cfg.rate;
     const double expected =
         cfg.rate * static_cast<double>(cfg.horizon_cycles);
-    if (workers <= 0)
-        workers = support::ThreadPool::defaultThreads();
-    const std::size_t nranges =
-        std::min<std::size_t>(cfg.sessions,
-                              static_cast<std::size_t>(workers));
+    support::ThreadPool& pool = support::executor();
+    const std::size_t nranges = std::min<std::size_t>(
+        cfg.sessions, static_cast<std::size_t>(pool.numThreads()));
 
     // One contiguous session range per worker, each sorted on its own.
     std::vector<std::vector<Arrival>> ranges(nranges);
-    support::ThreadPool::forEachShard(
-        nranges,
-        [&](std::size_t r) {
-            const auto s0 = static_cast<std::uint32_t>(
-                std::uint64_t{cfg.sessions} * r / nranges);
-            const auto s1 = static_cast<std::uint32_t>(
-                std::uint64_t{cfg.sessions} * (r + 1) / nranges);
-            // Filled locally: neighbouring ranges' vector headers share
-            // cache lines, and every push_back writes the header.
-            std::vector<Arrival> out;
-            out.reserve(static_cast<std::size_t>(
-                expected * 1.1 * (s1 - s0) / cfg.sessions));
-            for (std::uint32_t s = s0; s < s1; ++s) {
-                if (cfg.kind == ArrivalKind::Poisson)
-                    poissonSession(s, cfg, mean_gap, out);
-                else
-                    burstySession(s, cfg, mean_gap, out);
-            }
-            // Arrivals equal in (time, session) are equal bytes, so
-            // an unstable sort yields the one sorted order.
-            std::sort(out.begin(), out.end(), arrivalLess);
-            ranges[r] = std::move(out);
-        },
-        workers);
+    pool.forEach(nranges, [&](std::size_t r) {
+        const auto s0 = static_cast<std::uint32_t>(
+            std::uint64_t{cfg.sessions} * r / nranges);
+        const auto s1 = static_cast<std::uint32_t>(
+            std::uint64_t{cfg.sessions} * (r + 1) / nranges);
+        // Filled locally: neighbouring ranges' vector headers share
+        // cache lines, and every push_back writes the header.
+        std::vector<Arrival> out;
+        out.reserve(static_cast<std::size_t>(
+            expected * 1.1 * (s1 - s0) / cfg.sessions));
+        for (std::uint32_t s = s0; s < s1; ++s) {
+            if (cfg.kind == ArrivalKind::Poisson)
+                poissonSession(s, cfg, mean_gap, out);
+            else
+                burstySession(s, cfg, mean_gap, out);
+        }
+        // Arrivals equal in (time, session) are equal bytes, so
+        // an unstable sort yields the one sorted order.
+        std::sort(out.begin(), out.end(), arrivalLess);
+        ranges[r] = std::move(out);
+    });
     return mergeRanges(ranges);
-}
-
-} // namespace detail
-
-std::vector<Arrival>
-generateArrivals(const ArrivalConfig& cfg)
-{
-    return detail::generateArrivals(cfg, 0);
 }
 
 } // namespace spikesim::serve

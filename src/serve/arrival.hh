@@ -23,11 +23,12 @@
  * Determinism: each session derives its stream from its own
  * support::Pcg32 (seed, session-id) pair and draws in a fixed order,
  * so a session's arrivals do not depend on which host thread generates
- * them. Sessions are generated in parallel, one contiguous session
- * range per worker; each range is sorted by (time, session) and the
- * sorted ranges are k-way merged. (time, session) is a total order up
- * to arrivals that are equal byte for byte, so the merged stream is
- * byte-stable for a seed regardless of host or thread count.
+ * them. Sessions are generated in parallel on support::executor(), one
+ * contiguous session range per worker; each range is sorted by (time,
+ * session) and the sorted ranges are k-way merged. (time, session) is
+ * a total order up to arrivals that are equal byte for byte, so the
+ * merged stream is byte-stable for a seed regardless of host or
+ * thread count.
  */
 
 namespace spikesim::serve {
@@ -70,18 +71,6 @@ struct ArrivalConfig
  * id, and a session's own arrivals stay in generation order.
  */
 std::vector<Arrival> generateArrivals(const ArrivalConfig& config);
-
-namespace detail {
-
-/**
- * generateArrivals() on at most `workers` host threads (0 =
- * support::ThreadPool::defaultThreads()). The stream does not depend
- * on the width; tests use this to prove it.
- */
-std::vector<Arrival> generateArrivals(const ArrivalConfig& config,
-                                      int workers);
-
-} // namespace detail
 
 } // namespace spikesim::serve
 

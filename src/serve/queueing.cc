@@ -139,16 +139,9 @@ simulateOpenLoop(std::span<const Arrival> arrivals,
     }
 
     std::vector<ShardOut> outs(nshards);
-    if (pool != nullptr) {
-        for (std::size_t s = 0; s < nshards; ++s)
-            pool->submit([&, s] {
-                runShard(work[s], config, outs[s]);
-            });
-        pool->wait();
-    } else {
-        for (std::size_t s = 0; s < nshards; ++s)
-            runShard(work[s], config, outs[s]);
-    }
+    support::forEach(pool, nshards, [&](std::size_t s) {
+        runShard(work[s], config, outs[s]);
+    });
 
     // Ordered merge: shard order, integer sketch-bucket and window
     // counts — independent of execution interleaving by construction.

@@ -195,7 +195,7 @@ ServiceModel::segments(const trace::TraceBuffer& trace)
 ServiceModel::ServiceModel(const trace::TraceBuffer& trace,
                            const core::Layout& app,
                            const core::Layout* kernel,
-                           const ServiceModelConfig& config, int workers)
+                           const ServiceModelConfig& config)
 {
     SPIKESIM_ASSERT(config.tenants >= 1, "tenants must be >= 1");
     const std::span<const trace::TraceEvent> events = trace.events();
@@ -203,17 +203,15 @@ ServiceModel::ServiceModel(const trace::TraceBuffer& trace,
     const std::size_t tenants =
         static_cast<std::size_t>(config.tenants);
 
+    support::ThreadPool& pool = support::executor();
+
     // Segment starts, found over one contiguous event chunk per shard
     // and concatenated in chunk order.
     std::vector<std::vector<std::size_t>> chunk_starts(ncpus);
-    support::ThreadPool::forEachShard(
-        ncpus,
-        [&](std::size_t k) {
-            segmentStarts(events, events.size() * k / ncpus,
-                          events.size() * (k + 1) / ncpus,
-                          chunk_starts[k]);
-        },
-        workers);
+    pool.forEach(ncpus, [&](std::size_t k) {
+        segmentStarts(events, events.size() * k / ncpus,
+                      events.size() * (k + 1) / ncpus, chunk_starts[k]);
+    });
     std::vector<std::size_t> starts;
     for (const std::vector<std::size_t>& cs : chunk_starts)
         starts.insert(starts.end(), cs.begin(), cs.end());
@@ -224,13 +222,10 @@ ServiceModel::ServiceModel(const trace::TraceBuffer& trace,
     // slots and its own counters, merged below in CPU order.
     cycles_.assign(nseg * tenants, 0);
     std::vector<CpuShard> shards(ncpus);
-    support::ThreadPool::forEachShard(
-        ncpus,
-        [&](std::size_t cpu) {
-            walkCpu(static_cast<std::uint8_t>(cpu), events, starts, app,
-                    kernel, config, cycles_, shards[cpu]);
-        },
-        workers);
+    pool.forEach(ncpus, [&](std::size_t cpu) {
+        walkCpu(static_cast<std::uint8_t>(cpu), events, starts, app,
+                kernel, config, cycles_, shards[cpu]);
+    });
     for (const CpuShard& sh : shards) {
         stats_.mem += sh.mem;
         stats_.instrs += sh.instrs;
@@ -251,17 +246,5 @@ ServiceModel::ServiceModel(const trace::TraceBuffer& trace,
         stats_.p99_cycles = percentileSorted(sorted, 0.99);
     }
 }
-
-namespace detail {
-
-ServiceModel
-serviceModel(const trace::TraceBuffer& trace, const core::Layout& app,
-             const core::Layout* kernel, const ServiceModelConfig& config,
-             int workers)
-{
-    return ServiceModel(trace, app, kernel, config, workers);
-}
-
-} // namespace detail
 
 } // namespace spikesim::serve

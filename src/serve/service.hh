@@ -81,37 +81,18 @@ struct ServiceStats
     std::uint64_t fetch_breaks = 0;
 };
 
-class ServiceModel;
-
-namespace detail {
-
-/**
- * ServiceModel built on at most `workers` host threads (0 =
- * support::ThreadPool::defaultThreads()). The result does not depend
- * on the width; tests use this to prove it.
- */
-ServiceModel serviceModel(const trace::TraceBuffer& trace,
-                          const core::Layout& app,
-                          const core::Layout* kernel,
-                          const ServiceModelConfig& config, int workers);
-
-} // namespace detail
-
 /** Derives per-transaction service times for one (trace, layout) pair. */
 class ServiceModel
 {
   public:
     /**
      * Replays the whole trace immediately, one shard per simulated CPU
-     * on a call-local pool of min(CPUs, host CPUs) threads. @param
-     * kernel may be null only if the trace contains no kernel events.
+     * on support::executor(). @param kernel may be null only if the
+     * trace contains no kernel events.
      */
     ServiceModel(const trace::TraceBuffer& trace,
                  const core::Layout& app, const core::Layout* kernel,
-                 const ServiceModelConfig& config)
-        : ServiceModel(trace, app, kernel, config, 0)
-    {
-    }
+                 const ServiceModelConfig& config);
 
     /**
      * Service time of every request, in cycles, in execution order
@@ -137,16 +118,6 @@ class ServiceModel
     segments(const trace::TraceBuffer& trace);
 
   private:
-    friend ServiceModel detail::serviceModel(const trace::TraceBuffer&,
-                                             const core::Layout&,
-                                             const core::Layout*,
-                                             const ServiceModelConfig&,
-                                             int);
-
-    ServiceModel(const trace::TraceBuffer& trace, const core::Layout& app,
-                 const core::Layout* kernel,
-                 const ServiceModelConfig& config, int workers);
-
     std::vector<std::uint64_t> cycles_;
     ServiceStats stats_;
 };

@@ -20,57 +20,44 @@ shardRefs(const ResolvedTraceSoA& trace, int cpu)
 
 /**
  * Shard a fused multi-config replay over the pool: one task per
- * (CPU, config-chunk). With no pool, run the fully fused serial path —
- * each CPU's slice is walked once feeding every configuration. With a
- * pool, CPUs are the natural shards (bit-exact, see engine.hh); when
- * threads outnumber trace CPUs the config list is additionally split
- * into chunks so the extra threads have work. Each extra chunk re-walks
- * that CPU's refs, so never split further than the thread count
- * warrants. fn(cpu, k0, k1) must touch only state owned by its
- * (cpu, [k0,k1)) cell; wait() is the merge barrier.
+ * (CPU, config-chunk). With no pool, each CPU's slice is walked once,
+ * in CPU order, feeding every configuration. With a pool, CPUs are the
+ * natural shards (bit-exact, see engine.hh); when threads outnumber
+ * trace CPUs the config list is additionally split into chunks so the
+ * extra threads have work. Each extra chunk re-walks that CPU's refs,
+ * so never split further than the thread count warrants. fn(cpu, k0,
+ * k1) must touch only state owned by its (cpu, [k0,k1)) cell; the
+ * return is the merge barrier.
  */
 template <typename Fn>
 void
-forEachShard(const ResolvedTraceSoA& trace, std::size_t n_cfg,
-             support::ThreadPool* pool, const Fn& fn)
+runShards(const ResolvedTraceSoA& trace, std::size_t n_cfg,
+          support::ThreadPool* pool, const Fn& fn)
 {
     if (n_cfg == 0)
         return;
-    const int n_cpu = trace.num_cpus;
+    const std::size_t cpus = static_cast<std::size_t>(trace.num_cpus);
+    const std::size_t threads =
+        pool == nullptr ? 1 : static_cast<std::size_t>(pool->numThreads());
+    std::size_t chunks = 1;
+    if (n_cfg > 1 && threads > cpus)
+        chunks = std::min(n_cfg, (threads + cpus - 1) / cpus);
     // Bulk-add the replayed ref count once per shard walk — never
     // per-ref inside the fused loops, which must stay counter-free.
     static obs::Counter& c_refs = obs::counter("sim.replay.refs");
     static obs::Counter& c_shards = obs::counter("sim.replay.shards");
-    if (pool == nullptr) {
-        for (int c = 0; c < n_cpu; ++c) {
-            obs::Span span("replay.shard", "sim");
-            fn(c, std::size_t{0}, n_cfg);
-            c_refs.add(shardRefs(trace, c));
-            c_shards.add(1);
-        }
-        return;
-    }
-    const std::size_t threads =
-        static_cast<std::size_t>(pool->numThreads());
-    const std::size_t cpus = static_cast<std::size_t>(n_cpu);
-    std::size_t chunks = 1;
-    if (n_cfg > 1 && threads > cpus)
-        chunks = std::min(n_cfg, (threads + cpus - 1) / cpus);
-    for (int c = 0; c < n_cpu; ++c) {
-        for (std::size_t i = 0; i < chunks; ++i) {
-            const std::size_t k0 = n_cfg * i / chunks;
-            const std::size_t k1 = n_cfg * (i + 1) / chunks;
-            if (k0 == k1)
-                continue;
-            pool->submit([&fn, &trace, c, k0, k1] {
-                obs::Span span("replay.shard", "sim");
-                fn(c, k0, k1);
-                c_refs.add(shardRefs(trace, c));
-                c_shards.add(1);
-            });
-        }
-    }
-    pool->wait();
+    support::forEach(pool, cpus * chunks, [&](std::size_t t) {
+        const int c = static_cast<int>(t / chunks);
+        const std::size_t i = t % chunks;
+        const std::size_t k0 = n_cfg * i / chunks;
+        const std::size_t k1 = n_cfg * (i + 1) / chunks;
+        if (k0 == k1)
+            return;
+        obs::Span span("replay.shard", "sim");
+        fn(c, k0, k1);
+        c_refs.add(shardRefs(trace, c));
+        c_shards.add(1);
+    });
 }
 
 /** Per-(config, CPU) instrumented partial: histogram copies plus the
@@ -102,8 +89,8 @@ replayICache(const ResolvedTraceSoA& soa,
     const std::size_t n_cpu = static_cast<std::size_t>(soa.num_cpus);
     std::vector<ICacheReplayResult> partial(n_cfg * n_cpu);
 
-    forEachShard(soa, n_cfg, pool,
-                 [&](int cpu, std::size_t k0, std::size_t k1) {
+    runShards(soa, n_cfg, pool,
+              [&](int cpu, std::size_t k0, std::size_t k1) {
         std::vector<ICacheReplayResult> local(k1 - k0);
         detail::IcacheShard shard;
         shard.soa = &soa;
@@ -145,8 +132,8 @@ replayThreeCs(const ResolvedTraceSoA& soa,
     const std::size_t n_cpu = static_cast<std::size_t>(soa.num_cpus);
     std::vector<mem::ThreeCStats> partial(n_cfg * n_cpu);
 
-    forEachShard(soa, n_cfg, pool,
-                 [&](int cpu, std::size_t k0, std::size_t k1) {
+    runShards(soa, n_cfg, pool,
+              [&](int cpu, std::size_t k0, std::size_t k1) {
         std::vector<mem::ThreeCStats> local(k1 - k0);
         detail::ThreeCShard shard;
         shard.soa = &soa;
@@ -179,8 +166,8 @@ replayStreamBuffer(const ResolvedTraceSoA& soa,
     const std::size_t n_cpu = static_cast<std::size_t>(soa.num_cpus);
     std::vector<mem::StreamBufferStats> partial(n_cfg * n_cpu);
 
-    forEachShard(soa, n_cfg, pool,
-                 [&](int cpu, std::size_t k0, std::size_t k1) {
+    runShards(soa, n_cfg, pool,
+              [&](int cpu, std::size_t k0, std::size_t k1) {
         std::vector<mem::StreamBufferStats> local(k1 - k0);
         detail::StreamBufShard shard;
         shard.soa = &soa;
@@ -212,8 +199,8 @@ replayInstrumented(const ResolvedTraceSoA& soa,
     const std::size_t n_cpu = static_cast<std::size_t>(soa.num_cpus);
     std::vector<InstrPartial> partial(n_cfg * n_cpu);
 
-    forEachShard(soa, n_cfg, pool,
-                 [&](int cpu, std::size_t k0, std::size_t k1) {
+    runShards(soa, n_cfg, pool,
+              [&](int cpu, std::size_t k0, std::size_t k1) {
         std::vector<detail::InstrShardOut> local(k1 - k0);
         detail::InstrShard shard;
         shard.soa = &soa;
@@ -270,8 +257,8 @@ replayITlb(const ResolvedTraceSoA& soa, std::span<const ITlbSpec> specs,
     const std::size_t n_cpu = static_cast<std::size_t>(soa.num_cpus);
     std::vector<ITlbReplayResult> partial(n_cfg * n_cpu);
 
-    forEachShard(soa, n_cfg, pool,
-                 [&](int cpu, std::size_t k0, std::size_t k1) {
+    runShards(soa, n_cfg, pool,
+              [&](int cpu, std::size_t k0, std::size_t k1) {
         std::vector<ITlbReplayResult> local(k1 - k0);
         detail::ITlbShard shard;
         shard.soa = &soa;
@@ -303,8 +290,8 @@ replaySequence(const ResolvedTraceSoA& soa, support::ThreadPool* pool)
     std::vector<support::Histogram> partial(n_cpu,
                                             support::Histogram(34));
 
-    forEachShard(soa, 1, pool,
-                 [&](int cpu, std::size_t, std::size_t) {
+    runShards(soa, 1, pool,
+              [&](int cpu, std::size_t, std::size_t) {
         support::Histogram& hist =
             partial[static_cast<std::size_t>(cpu)];
         std::uint64_t expected = ~0ULL;

@@ -105,7 +105,7 @@ Replayer::icache(const mem::CacheConfig& config, StreamFilter filter) const
 namespace {
 
 /** Events below which a resolve runs as one chunk: a chunk costs a
- *  small per-(chunk, CPU) prefix step and, above one chunk, a pool. */
+ *  small per-(chunk, CPU) prefix step and a pool task. */
 constexpr std::size_t kMinChunkEvents = 1u << 16;
 /** Chunks per worker, so a worker slowed by a noisy neighbour does not
  *  hold up the whole pass. */
@@ -158,7 +158,7 @@ Replayer::resolveSoA(StreamFilter filter) const
 {
     obs::Span span("replay.resolve", "sim");
     const std::size_t workers =
-        static_cast<std::size_t>(support::ThreadPool::defaultThreads());
+        static_cast<std::size_t>(support::executor().numThreads());
     const std::size_t chunks = std::clamp<std::size_t>(
         trace_.size() / kMinChunkEvents, 1, workers * kChunksPerWorker);
     return detail::resolveSoA(*this, filter, chunks);
@@ -166,7 +166,7 @@ Replayer::resolveSoA(StreamFilter filter) const
 
 /**
  * Two passes over `chunks` contiguous event ranges, each pass sharded
- * across a call-local pool. Pass 1 counts, per (chunk, CPU), the refs a
+ * across support::executor(). Pass 1 counts, per (chunk, CPU), the refs a
  * chunk emits and the run-break state it leaves, plus the chunk's
  * instruction totals. An exclusive prefix over the chunks (in trace
  * order) then gives every chunk its write cursor in each CPU slice and
@@ -191,11 +191,12 @@ detail::resolveSoA(const Replayer& rep, StreamFilter filter,
     const auto chunkBegin = [&](std::size_t k) {
         return events.size() * k / chunks;
     };
+    support::ThreadPool& pool = support::executor();
 
     // Pass 1: count. Counters live in locals until the chunk ends, so
     // workers never write to neighbouring slots mid-walk.
     std::vector<ChunkCounts> counts(chunks);
-    support::ThreadPool::forEachShard(chunks, [&](std::size_t k) {
+    pool.forEach(chunks, [&](std::size_t k) {
         std::vector<std::size_t> refs(n_cpus, 0);
         std::vector<BreakState> brk(n_cpus, BreakState::None);
         std::uint64_t instr_events = 0;
@@ -264,7 +265,7 @@ detail::resolveSoA(const Replayer& rep, StreamFilter filter,
     // filtered-out image marks a pending run break on its CPU (the
     // fetch unit was taken by the other stream); data events are
     // skipped and never break runs.
-    support::ThreadPool::forEachShard(chunks, [&](std::size_t k) {
+    pool.forEach(chunks, [&](std::size_t k) {
         std::vector<std::size_t> cur(cursor.begin() + k * n_cpus,
                                      cursor.begin() + (k + 1) * n_cpus);
         std::vector<std::uint8_t> brk(carry.begin() + k * n_cpus,

@@ -147,9 +147,8 @@ class Replayer
      * ResolvedTraceSoA). Zero-sized blocks are dropped from the refs
      * but still counted in instr_events/instrs; data events are
      * dropped. Every column is sized exactly from a counting pass (no
-     * growth reallocation). Both passes run chunk-parallel on a
-     * call-local pool sized by the process's CPU affinity, inside a
-     * "replay.resolve" trace span; the output does not depend on the
+     * growth reallocation). Both passes run chunk-parallel on
+     * support::executor(), inside a "replay.resolve" trace span; the output does not depend on the
      * chunk count (see detail::resolveSoA). The per-config walks above
      * and below read the raw trace and are the differential oracles of
      * every replay over these columns. Panics with "block id out of
@@ -223,7 +222,7 @@ namespace detail {
  * event stream is cut into `chunks` contiguous ranges that are counted
  * and filled concurrently. The output is identical for every chunk
  * count >= 1; Replayer::resolveSoA picks one from the trace length and
- * the host's thread count.
+ * the executor's width.
  */
 ResolvedTraceSoA resolveSoA(const Replayer& rep, StreamFilter filter,
                             std::size_t chunks);

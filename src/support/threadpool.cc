@@ -11,6 +11,28 @@
 
 namespace spikesim::support {
 
+namespace {
+
+/** The pool whose worker is running on this thread, if any. */
+thread_local const ThreadPool* tls_pool = nullptr;
+
+/** Listed pools, oldest first. Never destroyed, so a pool destroyed
+ *  during static teardown can still unlist itself. */
+struct LivePools
+{
+    std::mutex mu;
+    std::vector<ThreadPool*> pools;
+};
+
+LivePools&
+livePools()
+{
+    static LivePools* const live = new LivePools;
+    return *live;
+}
+
+} // namespace
+
 int
 ThreadPool::defaultThreads()
 {
@@ -26,33 +48,44 @@ ThreadPool::defaultThreads()
     return std::max(n, 1);
 }
 
-void
-ThreadPool::forEachShard(std::size_t shards,
-                         const std::function<void(std::size_t)>& fn,
-                         int max_workers)
+ThreadPool&
+executor()
 {
-    if (shards == 0)
-        return;
-    if (max_workers <= 0)
-        max_workers = defaultThreads();
-    ThreadPool pool(static_cast<int>(
-        std::min(shards, static_cast<std::size_t>(max_workers))));
-    for (std::size_t s = 0; s < shards; ++s)
-        pool.submit([&fn, s] { fn(s); });
-    pool.wait();
+    {
+        LivePools& live = livePools();
+        std::lock_guard<std::mutex> lock(live.mu);
+        if (!live.pools.empty())
+            return *live.pools.front();
+    }
+    // Never destroyed: its workers stay parked until the process ends.
+    static ThreadPool* const fallback =
+        new ThreadPool(0, ThreadPool::Unlisted{});
+    return *fallback;
+}
+
+ThreadPool::ThreadPool(int num_threads, Unlisted)
+    : width_(num_threads > 0 ? num_threads : defaultThreads())
+{
+    if (width_ > 1)
+        for (int i = 0; i < width_; ++i)
+            workers_.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::ThreadPool(int num_threads)
+    : ThreadPool(num_threads, Unlisted{})
 {
-    if (num_threads <= 0)
-        num_threads = defaultThreads();
-    workers_.reserve(static_cast<std::size_t>(num_threads));
-    for (int i = 0; i < num_threads; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
+    LivePools& live = livePools();
+    std::lock_guard<std::mutex> lock(live.mu);
+    live.pools.push_back(this);
 }
 
 ThreadPool::~ThreadPool()
 {
+    {
+        LivePools& live = livePools();
+        std::lock_guard<std::mutex> lock(live.mu);
+        std::erase(live.pools, this);
+    }
     {
         std::unique_lock<std::mutex> lock(mu_);
         stopping_ = true;
@@ -63,34 +96,36 @@ ThreadPool::~ThreadPool()
 }
 
 void
-ThreadPool::submit(std::function<void()> task)
+ThreadPool::forEach(std::size_t n,
+                    const std::function<void(std::size_t)>& fn)
 {
-    SPIKESIM_ASSERT(task != nullptr, "null task submitted to pool");
-    std::uint64_t depth;
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        SPIKESIM_ASSERT(!stopping_, "submit after pool shutdown began");
-        queue_.push_back(std::move(task));
-        ++unfinished_;
-        ++submitted_;
-        depth = queue_.size();
-        if (depth > max_queue_depth_)
-            max_queue_depth_ = depth;
-    }
     static obs::Counter& c_submitted =
         obs::counter("support.pool.submitted");
-    static obs::Gauge& g_depth =
-        obs::gauge("support.pool.queue_depth");
-    c_submitted.add(1);
-    g_depth.max(static_cast<std::int64_t>(depth));
-    task_ready_.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
+    static obs::Counter& c_executed = obs::counter("support.pool.executed");
+    static obs::Gauge& g_depth = obs::gauge("support.pool.queue_depth");
+    if (n == 0)
+        return;
+    c_submitted.add(n);
+    if (workers_.empty() || tls_pool == this) {
+        for (std::size_t i = 0; i < n; ++i)
+            fn(i);
+        c_executed.add(n);
+        std::unique_lock<std::mutex> lock(mu_);
+        submitted_ += n;
+        executed_ += n;
+        return;
+    }
+    Batch batch{&fn, n};
     std::unique_lock<std::mutex> lock(mu_);
-    all_done_.wait(lock, [this] { return unfinished_ == 0; });
+    SPIKESIM_ASSERT(!stopping_, "forEach after pool shutdown began");
+    for (std::size_t i = 0; i < n; ++i)
+        queue_.push_back({&batch, i});
+    submitted_ += n;
+    max_queue_depth_ = std::max<std::uint64_t>(max_queue_depth_,
+                                               queue_.size());
+    g_depth.max(static_cast<std::int64_t>(queue_.size()));
+    task_ready_.notify_all();
+    batch_done_.wait(lock, [&batch] { return batch.unfinished == 0; });
 }
 
 ThreadPool::Stats
@@ -103,13 +138,13 @@ ThreadPool::stats() const
 void
 ThreadPool::workerLoop()
 {
-    static obs::Counter& c_executed =
-        obs::counter("support.pool.executed");
+    tls_pool = this;
+    static obs::Counter& c_executed = obs::counter("support.pool.executed");
     static obs::Counter& c_idle_ns =
         obs::counter("support.pool.idle_ns");
     using clock = std::chrono::steady_clock;
     for (;;) {
-        std::function<void()> task;
+        Task task;
         std::uint64_t idle_ns;
         {
             std::unique_lock<std::mutex> lock(mu_);
@@ -123,21 +158,19 @@ ThreadPool::workerLoop()
             idle_ns_ += idle_ns;
             if (queue_.empty())
                 return; // stopping and drained
-            task = std::move(queue_.front());
+            task = queue_.front();
             queue_.pop_front();
         }
         c_idle_ns.add(idle_ns);
         {
             obs::Span span("pool.task", "support");
-            task();
+            (*task.batch->fn)(task.index);
         }
         c_executed.add(1);
-        {
-            std::unique_lock<std::mutex> lock(mu_);
-            ++executed_;
-            if (--unfinished_ == 0)
-                all_done_.notify_all();
-        }
+        std::unique_lock<std::mutex> lock(mu_);
+        ++executed_;
+        if (--task.batch->unfinished == 0)
+            batch_done_.notify_all();
     }
 }
 

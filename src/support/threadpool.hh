@@ -12,37 +12,39 @@
 
 /**
  * @file
- * Fixed-size worker-thread pool for the parallel replay engine. The
- * replay workloads are embarrassingly parallel — independent
- * (CPU x config-chunk) shards over a shared read-only resolved trace —
- * so a plain task queue with a drain barrier is all the machinery
- * needed. Tasks must not throw (simulation errors panic/abort).
+ * The process's one executor. Every parallel layer (replay engine,
+ * chunked resolve, service walk, arrivals, queue shards, layout search)
+ * runs its independent shards through ThreadPool::forEach. Layers that
+ * take a `ThreadPool*` run on it (null = serially); the rest run on
+ * executor(), the oldest live pool. So the pool a program builds first
+ * (a bench's `--threads N` pool, perfbench's) bounds every layer. Tasks
+ * must not throw (simulation errors panic/abort).
  */
 
 namespace spikesim::support {
 
-/** Fixed pool of worker threads consuming a FIFO task queue. */
+/** Fixed pool of worker threads running forEach batches. */
 class ThreadPool
 {
   public:
-    /**
-     * @param num_threads worker count; 0 picks defaultThreads().
-     */
+    /** @param num_threads width; 0 picks defaultThreads(). Width 1
+     *  starts no worker thread. */
     explicit ThreadPool(int num_threads = 0);
 
-    /** Drains outstanding tasks, then joins the workers. */
+    /** Joins the workers. */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool&) = delete;
     ThreadPool& operator=(const ThreadPool&) = delete;
 
-    int numThreads() const { return static_cast<int>(workers_.size()); }
+    int numThreads() const { return width_; }
 
-    /** Enqueue a task for execution on some worker. */
-    void submit(std::function<void()> task);
-
-    /** Block until every submitted task has finished executing. */
-    void wait();
+    /**
+     * Run fn(0) .. fn(n - 1); return when this batch (not every task on
+     * the pool) is done. Runs inline on the caller at width 1 and when
+     * called from this pool's own worker, so nesting cannot deadlock.
+     */
+    void forEach(std::size_t n, const std::function<void(std::size_t)>& fn);
 
     /**
      * CPUs this process may run on (its sched_getaffinity mask, so
@@ -52,19 +54,11 @@ class ThreadPool
     static int defaultThreads();
 
     /**
-     * Run fn(0) .. fn(shards - 1) on a call-local pool of
-     * min(shards, max_workers) workers and return when all are done.
-     * @param max_workers worker cap; 0 picks defaultThreads().
-     */
-    static void forEachShard(std::size_t shards,
-                             const std::function<void(std::size_t)>& fn,
-                             int max_workers = 0);
-
-    /**
      * Point-in-time copy of this pool's execution stats. The counts
      * are also published to the obs registry (`support.pool.*`), where
      * they aggregate across pools; this per-pool view backs the
-     * pool-width invariance assertions in tests.
+     * pool-width invariance assertions in tests. Inline batches count
+     * too.
      */
     struct Stats {
         std::uint64_t submitted = 0;
@@ -75,26 +69,59 @@ class ThreadPool
         std::uint64_t max_queue_depth = 0;
     };
 
-    /** Exact when no submits are racing (e.g. right after wait()). */
+    /** Exact when no batch is in flight (e.g. after forEach returns). */
     Stats stats() const;
 
   private:
+    friend ThreadPool& executor();
+
+    /** One forEach call; lives on the caller's stack. */
+    struct Batch
+    {
+        const std::function<void(std::size_t)>* fn;
+        std::size_t unfinished; ///< guarded by mu_
+    };
+    struct Task
+    {
+        Batch* batch;
+        std::size_t index;
+    };
+
+    /** Tag: a pool executor() does not list (its own fallback). */
+    struct Unlisted {};
+    ThreadPool(int num_threads, Unlisted);
+
     void workerLoop();
 
+    int width_;
     std::vector<std::thread> workers_;
-    std::deque<std::function<void()>> queue_;
+    std::deque<Task> queue_;
     mutable std::mutex mu_;
     std::condition_variable task_ready_;
-    std::condition_variable all_done_;
-    std::size_t unfinished_ = 0; ///< queued + currently running
+    std::condition_variable batch_done_;
     bool stopping_ = false;
-    // Stats below are guarded by mu_ except idle_ns_, which workers
-    // accumulate after reacquiring the lock anyway.
+    // Stats below are guarded by mu_.
     std::uint64_t submitted_ = 0;
     std::uint64_t executed_ = 0;
     std::uint64_t idle_ns_ = 0;
     std::uint64_t max_queue_depth_ = 0;
 };
+
+/** The oldest live ThreadPool, else a process-lifetime pool of
+ *  defaultThreads() width built on first use. */
+ThreadPool& executor();
+
+/** fn(0) .. fn(n - 1) on `pool`, or in index order on the caller when
+ *  `pool` is null. */
+inline void
+forEach(ThreadPool* pool, std::size_t n,
+        const std::function<void(std::size_t)>& fn)
+{
+    if (pool != nullptr)
+        return pool->forEach(n, fn);
+    for (std::size_t i = 0; i < n; ++i)
+        fn(i);
+}
 
 } // namespace spikesim::support
 

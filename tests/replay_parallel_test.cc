@@ -384,8 +384,10 @@ TEST(ReplayEngine, MatchesHierarchyOracleWithCoherence)
             serve::ServiceModelConfig smc;
             smc.platform.hierarchy = config;
             for (int width : {1, 2, 4}) {
-                const serve::ServiceModel m = serve::detail::serviceModel(
-                    w.buf, w.app_layout, &w.kern_layout, smc, width);
+                support::ThreadPool pool(width);
+                ASSERT_EQ(&support::executor(), &pool);
+                const serve::ServiceModel m(w.buf, w.app_layout,
+                                            &w.kern_layout, smc);
                 const serve::ServiceStats& st = m.stats();
                 for (bool coherence : {false, true}) {
                     const HierarchyReplayResult r =

@@ -122,8 +122,10 @@ TEST(Arrival, ShardedStreamMatchesRecordedDigests)
         c.mean_on_cycles = 100'000.0;
         c.seed = 7;
         for (int workers : {1, 2, 3, 8}) {
-            const std::vector<serve::Arrival> a =
-                serve::detail::generateArrivals(c, workers);
+            // The only live pool, so the executor generateArrivals runs on.
+            support::ThreadPool pool(workers);
+            ASSERT_EQ(&support::executor(), &pool);
+            const std::vector<serve::Arrival> a = serve::generateArrivals(c);
             EXPECT_EQ(digestArrivals(a), k.digest)
                 << "kind=" << static_cast<int>(k.kind)
                 << " sessions=" << k.sessions << " workers=" << workers
@@ -562,8 +564,9 @@ TEST(ServiceModel, ShardedWalkMatchesRecordedDigests)
         serve::ServiceModelConfig smc;
         smc.tenants = k.tenants;
         for (int workers : {1, 2, 3, 8}) {
-            const serve::ServiceModel m = serve::detail::serviceModel(
-                buf, app, &kern, smc, workers);
+            support::ThreadPool pool(workers);
+            ASSERT_EQ(&support::executor(), &pool);
+            const serve::ServiceModel m(buf, app, &kern, smc);
             EXPECT_EQ(digestService(m), k.digest)
                 << "tenants=" << k.tenants << " workers=" << workers
                 << " requests=" << m.stats().requests << std::hex
